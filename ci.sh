@@ -88,6 +88,9 @@ echo "== obs report: kernel attribution covers >=95% of the train step =="
 DATAVIST5_OBS=1 cargo run --release -p bench --bin obs_report -- \
   --out target/BENCH_obs.json
 
+echo "== repository benchmark: all four workloads, outputs match the pinned digests =="
+cargo run --release -p bench --bin benchmark -- --seconds 2
+
 echo "== perf-trajectory suite: history round-trip + gate + golden trends =="
 cargo test -p bench --test perf_proptests -q
 cargo test -p bench --test golden_perf_trends -q

@@ -10,11 +10,12 @@
 //!    blocking primitives in the tape hot path (P006). `// par-ok:
 //!    <reason>` annotations allowlist audited sites; a reason-less
 //!    annotation is itself a finding (P000) and a stale one is P009.
-//! 2. **Schedule certification** — every `ReductionSchedule` the kernel
-//!    dispatch layer declares (all matmul orientations, a sweep of
-//!    launch shapes × worker counts) is replayed symbolically against
-//!    the canonical reduction orders in `analysis::order`. A schedule
-//!    that is not bit-equivalent to the sequential fold is P010.
+//! 2. **Schedule certification** — every `ReductionSchedule` the kernels
+//!    declare (the row split of each matmul orientation and the `mm_nt`
+//!    register tile's column split, over a sweep of launch shapes ×
+//!    worker counts) is replayed symbolically against the canonical
+//!    reduction orders in `analysis::order`. A schedule that is not
+//!    bit-equivalent to the sequential fold is P010.
 //!
 //! Writes `BENCH_par_audit.json` at the repo root and exits nonzero on
 //! any unsuppressed finding — `ci.sh` runs this as a gate.
@@ -76,7 +77,8 @@ fn main() {
     }
     println!(
         "{certified}/{} declared schedules certified bit-equivalent to sequential \
-         ({} shapes x {} worker counts x 3 orientations)",
+         ({} shapes x {} worker counts x 4 schedules: the row split of each of 3 \
+         orientations and the mm_nt register tile)",
         results.len(),
         SHAPES.len(),
         WORKER_COUNTS.len()

@@ -199,12 +199,15 @@ impl<'m> BatchedDecodeState<'m> {
     /// admission pre-reserves that many self-attention KV rows per layer
     /// and the per-step [`Tensor::push_row`] appends never reallocate.
     /// The attention-score scratch (whose length tracks the growing KV
-    /// depth) is reserved up front for the same reason. Applies to
-    /// subsequent admissions; purely a capacity hint — decoded bits are
+    /// depth) is reserved up front for the same reason; [`admit`]
+    /// reserves it for the cross-attention depth of each source. Applies
+    /// to subsequent admissions; purely a capacity hint — decoded bits are
     /// identical with or without it.
+    ///
+    /// [`admit`]: Self::admit
     pub fn reserve_steps(&mut self, max_steps: usize) {
         self.kv_reserve = max_steps;
-        self.scratch.scores.reserve(max_steps);
+        reserve_len(&mut self.scratch.scores, max_steps);
     }
 
     /// [`new`](Self::new) with a cross-request prefix cache attached:
@@ -308,6 +311,9 @@ impl<'m> BatchedDecodeState<'m> {
                 }
             },
         };
+        // Cross-attention scores one row per source token; reserving here
+        // keeps the first step after a longer source from growing them.
+        reserve_len(&mut self.scratch.scores, src.len());
         let layers = model.dec.len();
         let d = model.cfg.d_model;
         self.slots[idx] = Some(Slot {
@@ -660,8 +666,9 @@ impl<'m> BatchedDecodeState<'m> {
             let v64 = vocab as u64;
             // Bytes: weight matrices streamed once per section plus the
             // packed activations; FLOPs: the dominant matmuls (four d×d
-            // projections per self-attn, three per cross-attn, two d×ff
-            // for the FFN, one d×vocab for logits).
+            // projections per self-attn, two per cross-attn — its K/V
+            // were projected at admission — two d×ff for the FFN, one
+            // d×vocab for logits).
             record_kernel("batch.embed", Forward, t_embed, 8 * rows * d64, 0);
             record_kernel(
                 "batch.self_attn",
@@ -674,8 +681,8 @@ impl<'m> BatchedDecodeState<'m> {
                 "batch.cross_attn",
                 Forward,
                 t_cross,
-                (12 * d64 * d64 + 16 * rows * d64) * layers,
-                6 * rows * d64 * d64 * layers,
+                (8 * d64 * d64 + 16 * rows * d64) * layers,
+                4 * rows * d64 * d64 * layers,
             );
             record_kernel(
                 "batch.ff",
@@ -767,6 +774,11 @@ fn rms_norm_packed(ps: &ParamSet, norm: &RmsNorm, x: &[f32], d: usize, out: &mut
             *o = *o * inv * g;
         }
     }
+}
+
+/// Grows `v`'s capacity to at least `len` elements.
+fn reserve_len(v: &mut Vec<f32>, len: usize) {
+    v.reserve(len.saturating_sub(v.len()));
 }
 
 fn add_assign(x: &mut [f32], y: &[f32]) {

@@ -162,11 +162,14 @@ impl FeedForward {
 #[derive(Debug, Clone)]
 pub struct RelPosBias {
     pub table: ParamId,
-    pub num_buckets: usize,
-    pub max_distance: usize,
     pub heads: usize,
+    num_buckets: usize,
+    max_distance: usize,
     /// Encoders attend both ways; decoders only backwards.
-    pub bidirectional: bool,
+    bidirectional: bool,
+    /// [`bucket_formula`] for every relative position in
+    /// `-max_distance..=max_distance`, at index `rp + max_distance`.
+    buckets: Vec<u8>,
 }
 
 impl RelPosBias {
@@ -177,43 +180,46 @@ impl RelPosBias {
         bidirectional: bool,
         rng: &mut XorShift,
     ) -> Self {
-        let num_buckets = 32;
+        let (num_buckets, max_distance) = (32, 128);
+        let reach = max_distance as i64;
+        let buckets = (-reach..=reach)
+            .map(|rp| {
+                let bucket = bucket_formula(rp, num_buckets, max_distance, bidirectional);
+                u8::try_from(bucket).expect("bucket index fits in u8")
+            })
+            .collect();
         Self {
             table: ps.add(
                 format!("{name}.table"),
                 Tensor::randn(vec![num_buckets, heads], 0.02, rng),
             ),
-            num_buckets,
-            max_distance: 128,
             heads,
+            num_buckets,
+            max_distance,
             bidirectional,
+            buckets,
         }
     }
 
-    /// The T5 bucket for `relative_position = key_pos - query_pos`.
+    /// The T5 bucket for `relative_position = key_pos - query_pos`: a
+    /// lookup in the table [`new`](Self::new) fills from the bucketing
+    /// formula. Beyond `±max_distance` the formula is pinned at the
+    /// outermost bucket, so positions there clamp to the table's ends.
     pub fn bucket(&self, relative_position: i64) -> usize {
-        let mut rp = relative_position;
-        let mut nb = self.num_buckets as i64;
-        let mut offset = 0i64;
-        if self.bidirectional {
-            nb /= 2;
-            if rp > 0 {
-                offset = nb;
-            }
-            rp = rp.abs();
-        } else {
-            rp = (-rp).max(0);
-        }
-        let max_exact = nb / 2;
-        let val = if rp < max_exact {
-            rp
-        } else {
-            let log_ratio = (rp as f64 / max_exact as f64).ln()
-                / (self.max_distance as f64 / max_exact as f64).ln();
-            let v = max_exact + (log_ratio * (nb - max_exact) as f64) as i64;
-            v.min(nb - 1)
-        };
-        (offset + val) as usize
+        let reach = self.max_distance as i64;
+        let idx = relative_position.clamp(-reach, reach) + reach;
+        usize::from(self.buckets[idx as usize])
+    }
+
+    /// Number of learned buckets (rows of `table`).
+    pub fn num_buckets(&self) -> usize {
+        self.num_buckets
+    }
+
+    /// Whether keys after the query get buckets of their own (encoders)
+    /// or all share bucket 0 (decoders).
+    pub fn bidirectional(&self) -> bool {
+        self.bidirectional
     }
 
     /// Builds the `[heads, tq, tk]` bias for query positions
@@ -231,6 +237,39 @@ impl RelPosBias {
         let cube = g.reshape(flat, vec![tq, tk, self.heads]);
         g.permute3(cube, [2, 0, 1])
     }
+}
+
+/// The T5 bucketing rule: exact buckets for the nearest `num_buckets / 4`
+/// distances on each side (`/ 2` when unidirectional), logarithmic ones
+/// out to `max_distance`, and the outermost bucket beyond it.
+fn bucket_formula(
+    relative_position: i64,
+    num_buckets: usize,
+    max_distance: usize,
+    bidirectional: bool,
+) -> usize {
+    let mut rp = relative_position;
+    let mut nb = num_buckets as i64;
+    let mut offset = 0i64;
+    if bidirectional {
+        nb /= 2;
+        if rp > 0 {
+            offset = nb;
+        }
+        rp = rp.abs();
+    } else {
+        rp = (-rp).max(0);
+    }
+    let max_exact = nb / 2;
+    let val = if rp < max_exact {
+        rp
+    } else {
+        let log_ratio =
+            (rp as f64 / max_exact as f64).ln() / (max_distance as f64 / max_exact as f64).ln();
+        let v = max_exact + (log_ratio * (nb - max_exact) as f64) as i64;
+        v.min(nb - 1)
+    };
+    (offset + val) as usize
 }
 
 /// Builds an additive causal mask: `-1e9` where `key > query + offset`.
@@ -431,8 +470,32 @@ mod tests {
         assert_eq!(bias.bucket(3), bias.bucket(3));
         assert_ne!(bias.bucket(3), bias.bucket(-3));
         // Large distances saturate below num_buckets.
-        assert!(bias.bucket(10_000) < bias.num_buckets);
-        assert!(bias.bucket(-10_000) < bias.num_buckets / 2);
+        assert!(bias.bucket(10_000) < bias.num_buckets());
+        assert!(bias.bucket(-10_000) < bias.num_buckets() / 2);
+    }
+
+    #[test]
+    fn bucket_table_equals_the_formula_at_every_distance() {
+        let mut ps = ParamSet::new();
+        let mut r = rng();
+        for bidirectional in [true, false] {
+            let name = format!("rb{bidirectional}");
+            let bias = RelPosBias::new(&mut ps, &name, 4, bidirectional, &mut r);
+            assert_eq!(bias.bidirectional(), bidirectional);
+            for rp in -10_000..=10_000 {
+                let want = bucket_formula(rp, bias.num_buckets, bias.max_distance, bidirectional);
+                assert_eq!(
+                    bias.bucket(rp),
+                    want,
+                    "rp={rp} bidirectional={bidirectional}"
+                );
+            }
+            // The clamp also covers distances no sequence reaches.
+            for rp in [i64::MIN, i64::MIN + 1, i64::MAX] {
+                let edge = rp.signum() * bias.max_distance as i64;
+                assert_eq!(bias.bucket(rp), bias.bucket(edge), "rp={rp}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! high-water mark, then asserts that a window of further decode ticks
 //! performs **zero** heap allocations — cache off and cache on.
 //!
-//! Both scenarios run inside one `#[test]` so no concurrently running
+//! A third scenario drives the batcher directly: a source longer than
+//! any before, admitted into a retired slot, must not make the steps
+//! after its admission allocate (admission reserves what the new
+//! request's cross-attention needs).
+//!
+//! All scenarios run inside one `#[test]` so no concurrently running
 //! test can pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,7 +24,7 @@ use datavist5::data::Task;
 use nn::batch::BatchedDecodeState;
 use nn::param::ParamSet;
 use nn::prefix_cache::PrefixCache;
-use nn::t5::{Positional, T5Config, T5Model};
+use nn::t5::{Positional, T5Config, T5Model, DECODER_START};
 use serve::{ServeConfig, ServeEngine, ServeRequest};
 use tensor::XorShift;
 
@@ -110,6 +115,35 @@ fn steady_state_allocs(with_cache: bool) -> u64 {
     delta
 }
 
+/// Admits short sources into every slot with `reserve_steps(16)`, steps
+/// them warm, retires one, admits a 40-token source into the freed slot,
+/// and returns the allocation count across the next 3 packed steps (the
+/// batch size unchanged).
+fn allocs_after_long_admission() -> u64 {
+    let (model, ps) = build_model();
+    let mut dec = BatchedDecodeState::new(&model, &ps, SLOTS);
+    dec.reserve_steps(16);
+    let mut active: Vec<(usize, u32)> = (0..SLOTS)
+        .map(|_| (dec.admit(&[3, 4, 5, 1]).expect("free slot"), DECODER_START))
+        .collect();
+    let mut out = Vec::new();
+    for _ in 0..WARMUP_TICKS {
+        dec.step_packed_into(&active, &mut out);
+    }
+    dec.retire(active[0].0);
+    let long: Vec<u32> = (0..40).map(|i| 2 + i % (VOCAB as u32 - 2)).collect();
+    active[0] = (
+        dec.admit(&long).expect("retired slot is free"),
+        DECODER_START,
+    );
+
+    let before = allocs();
+    for _ in 0..3 {
+        dec.step_packed_into(&active, &mut out);
+    }
+    allocs() - before
+}
+
 #[test]
 fn steady_state_ticks_allocate_nothing() {
     let cold = steady_state_allocs(false);
@@ -122,5 +156,11 @@ fn steady_state_ticks_allocate_nothing() {
     assert_eq!(
         warm, 0,
         "cache-on steady state: {warm} allocation(s) across {MEASURED_TICKS} decode ticks"
+    );
+    let after_long = allocs_after_long_admission();
+    assert_eq!(
+        after_long, 0,
+        "steps after admitting a longer source: {after_long} allocation(s) \
+         (admission must reserve the cross-attention scores)"
     );
 }

@@ -3,16 +3,29 @@
 //! The matmul kernels come in the three orientations the backward pass
 //! needs (`C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`), each with an `accumulate`
 //! flag so gradient contributions can be summed in place without a scratch
-//! buffer. Loop orders are chosen so the innermost loop streams over
-//! contiguous memory and autovectorizes.
+//! buffer.
 //!
-//! Each kernel is cache-blocked: one operand tile is kept hot across the
-//! outer loop so large matrices (vocabulary projections, packed batch
-//! activations) stop thrashing L2. Blocking only re-orders *independent*
-//! output elements — for any single `C[i,j]` the contributions still
-//! arrive in ascending-`k` order, so results are bit-identical to the
-//! unblocked loops (a property the batched-decode differential suite
-//! relies on, locked by `blocked_kernels_match_unblocked_bitwise`).
+//! # Lane ownership
+//!
+//! Every kernel gives each output element `C[i,j]` exactly one reduction
+//! chain: it starts at +0.0 (or at the old `C[i,j]`, per kernel), walks
+//! `k` in ascending order, and adds each contribution `a·b` with a
+//! separate multiply and add. Rust never contracts the two into an FMA,
+//! so every step rounds exactly like the scalar loop. What the kernels
+//! are free to change is *which* independent elements run together:
+//!
+//! * `mm_nn` and `mm_tn` are cache-blocked (`MM_KC`, `MM_IC`): one
+//!   operand tile stays hot across the outer loop, and the innermost loop
+//!   streams a contiguous row of `C`, one lane per output column.
+//! * `mm_nt` is a register tile: `MM_MR` rows by `MM_NR` columns of
+//!   `C` accumulate in `[f32; MM_NR]` arrays that the baseline x86-64
+//!   target autovectorizes, one SIMD lane per output element, against a
+//!   panel of `B` packed `[k][MM_NR]` so each lane's operand is contiguous.
+//!
+//! Blocking and tiling only regroup whole chains, so the results are
+//! bit-identical to the unblocked loops kept in this module's tests
+//! (`blocked_kernels_match_unblocked_bitwise`), which the batched-decode
+//! differential suite relies on.
 //!
 //! On top of the serial bodies sits a fork-join dispatch layer: when
 //! `DATAVIST5_THREADS > 1` and the launch is big enough
@@ -22,8 +35,11 @@
 //! ascending-`k` reduction chain inside one worker, so multi-core results
 //! are bit-identical to single-core at any thread count — the property
 //! the `analysis::par` schedule certifier proves statically for the
-//! schedules `sched::declared_schedules` exposes, and
+//! schedules `sched::declared_schedules` exposes (the row splits and the
+//! `mm_nt` column tiles of `mm_nt_column_tiles`), and
 //! `parallel_dispatch_matches_serial_bitwise` pins dynamically.
+
+use std::cell::Cell;
 
 /// Returns the index of the first non-finite (NaN/Inf) element, if any.
 ///
@@ -35,16 +51,27 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
     x.iter().position(|v| !v.is_finite())
 }
 
-/// Cache-block tile sizes, tuned in release mode with
-/// `decode_bench --preset base` (see `bench/out/BENCH_decode.json`): the
-/// `k`-tile keeps a `MM_KC × n` panel of `B` hot in `mm_nn`, the `n`-tile
-/// keeps a `MM_NC × k` panel of `B` hot in `mm_nt` (the vocabulary-logits
-/// orientation), and the `m`-tile keeps an output panel hot in `mm_tn`.
+/// Cache-block tile sizes: the `k`-tile keeps a `MM_KC × n` panel of `B`
+/// hot in `mm_nn`, and the `m`-tile keeps an output panel hot in `mm_tn`.
 pub const MM_KC: usize = 64;
-/// `n`-dimension tile for [`mm_nt`] (see [`MM_KC`]).
-pub const MM_NC: usize = 128;
 /// `m`-dimension tile for [`mm_tn`] (see [`MM_KC`]).
 pub const MM_IC: usize = 64;
+
+/// Output rows per [`mm_nt`] register tile.
+pub(crate) const MM_MR: usize = 4;
+/// Output columns per [`mm_nt`] register tile: the width of one
+/// `[f32; MM_NR]` accumulator, i.e. two SSE or one AVX register of lanes.
+pub(crate) const MM_NR: usize = 8;
+
+/// The `[lo, hi)` column ranges [`mm_nt`] tiles `n` output columns into:
+/// ascending, contiguous, [`MM_NR`] wide with a narrower last tile. The
+/// kernel iterates exactly these, and `sched::declared_schedules`
+/// collects them into the tile's certified schedule.
+pub(crate) fn mm_nt_column_tiles(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n)
+        .step_by(MM_NR)
+        .map(move |lo| (lo, (lo + MM_NR).min(n)))
+}
 
 /// `C = A·B` (or `C += A·B` when `accumulate`), with `A: [m,k]`, `B: [k,n]`,
 /// `C: [m,n]`.
@@ -113,8 +140,15 @@ fn mm_nn_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
 
 /// `C = A·Bᵀ` (or `+=`), with `A: [m,k]`, `B: [n,k]`, `C: [m,n]`.
 ///
-/// This is the attention-score orientation (`Q·Kᵀ`) and the `dA = dC·Bᵀ`
-/// orientation of the backward pass; both operands stream row-wise.
+/// This is the tied-embedding logits orientation, the attention-score
+/// orientation (`Q·Kᵀ`) and the `dA = dC·Bᵀ` orientation of the backward
+/// pass. It runs as a 4×8 register tile (`MM_MR`×`MM_NR`) over the
+/// column ranges of `mm_nt_column_tiles`. Each SIMD lane owns one `C[i,j]`:
+/// it starts at +0.0, adds `a[i,p]·b[j,p]` for ascending `p` with a
+/// separate multiply and add, and only then meets the old `C[i,j]` when
+/// `accumulate` is set — the same chain as one scalar dot product per
+/// element, so no bit moves (with `k = 0` the result is +0.0, or
+/// `C[i,j] + 0.0`).
 pub fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
     // hot-ok: shape contract at kernel entry — once per call, amortized over m*k*n work
     assert_eq!(
@@ -148,6 +182,14 @@ pub fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, 
     });
 }
 
+thread_local! {
+    /// Per-thread packed panel of `B` for [`mm_nt`]: `panel[p][l] =
+    /// B[j0 + l, p]` for the column tile being computed. Taken and put
+    /// back around each call, so it grows to the largest `k` once and a
+    /// warm call allocates nothing.
+    static NT_PANEL: Cell<Vec<[f32; MM_NR]>> = const { Cell::new(Vec::new()) };
+}
+
 /// Serial body of [`mm_nt`]; the parallel dispatch runs it per row chunk.
 fn mm_nt_serial(
     a: &[f32],
@@ -158,25 +200,68 @@ fn mm_nt_serial(
     n: usize,
     accumulate: bool,
 ) {
-    // n-blocked: the `[j0..j1, k]` panel of B is reused by every row of A.
-    // Each C[i,j] is still one full-`k` register dot product, so results
-    // are bit-identical to the unblocked loop.
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + MM_NC).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            for j in j0..j1 {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                    acc += av * bv;
-                }
-                let slot = &mut c[i * n + j];
-                *slot = if accumulate { *slot + acc } else { acc };
+    // Every tile overwrites all `k` panel rows, so stale contents from
+    // the previous call never reach a lane.
+    let mut panel = NT_PANEL.with(Cell::take);
+    panel.resize(k, [0.0; MM_NR]);
+    for (j0, j1) in mm_nt_column_tiles(n) {
+        // Pack B's rows j0..j1 into the panel's lanes. A narrow last tile
+        // repeats row j1 - 1 in its spare lanes; their results are dropped.
+        let rows: [&[f32]; MM_NR] = std::array::from_fn(|lane| {
+            let j = (j0 + lane).min(j1 - 1);
+            &b[j * k..(j + 1) * k]
+        });
+        for (p, lanes) in panel.iter_mut().enumerate() {
+            *lanes = std::array::from_fn(|lane| rows[lane][p]);
+        }
+        let mut i0 = 0;
+        while i0 + MM_MR <= m {
+            let tile = nt_tile::<MM_MR>(&a[i0 * k..(i0 + MM_MR) * k], &panel);
+            store_tile(&tile, c, i0, n, (j0, j1), accumulate);
+            i0 += MM_MR;
+        }
+        for i in i0..m {
+            let tile = nt_tile::<1>(&a[i * k..(i + 1) * k], &panel);
+            store_tile(&tile, c, i, n, (j0, j1), accumulate);
+        }
+    }
+    NT_PANEL.with(|cell| cell.set(panel));
+}
+
+/// One `R × MM_NR` block of `A·Bᵀ`: `a` holds `R` rows of length `k =
+/// panel.len()`. Lane `[r][l]` starts at +0.0 and adds `a[r,p] · panel[p][l]`
+/// for ascending `p` — multiply, then add, in the scalar kernel's order.
+#[inline(always)]
+fn nt_tile<const R: usize>(a: &[f32], panel: &[[f32; MM_NR]]) -> [[f32; MM_NR]; R] {
+    let k = panel.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; MM_NR]; R];
+    for (p, bp) in panel.iter().enumerate() {
+        for (acc_r, row) in acc.iter_mut().zip(&rows) {
+            let av = row[p];
+            for (lane, &bv) in acc_r.iter_mut().zip(bp) {
+                *lane += av * bv;
             }
         }
-        j0 = j1;
+    }
+    acc
+}
+
+/// Writes the live columns `j0..j1` of a register tile into rows `i0..`
+/// of `c` (`n` wide), adding to the old values when `accumulate` is set.
+fn store_tile<const R: usize>(
+    tile: &[[f32; MM_NR]; R],
+    c: &mut [f32],
+    i0: usize,
+    n: usize,
+    (j0, j1): (usize, usize),
+    accumulate: bool,
+) {
+    for (r, acc_r) in tile.iter().enumerate() {
+        let row = (i0 + r) * n;
+        for (slot, &dot) in c[row + j0..row + j1].iter_mut().zip(acc_r) {
+            *slot = if accumulate { *slot + dot } else { dot };
+        }
     }
 }
 
@@ -488,39 +573,118 @@ mod tests {
         }
     }
 
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
+
+    /// Bit equality, except that a NaN only has to be a NaN: its payload
+    /// depends on which operand the hardware propagates.
+    fn assert_bitwise(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (idx, (x, y)) in got.iter().zip(want).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}: element {idx} is {x:?} ({:#010x}), want {y:?} ({:#010x})",
+                x.to_bits(),
+                y.to_bits()
+            );
+        }
+    }
+
+    /// Runs all three orientations, plain and accumulating into `init`,
+    /// against the unblocked reference. `a` (`m·k` values) serves as
+    /// `[m,k]` and `[k,m]`, `b` (`k·n` values) as `[k,n]` and `[n,k]`.
+    fn assert_matches_unblocked(shape: (usize, usize, usize), a: &[f32], b: &[f32], init: &[f32]) {
+        let (m, k, n) = shape;
+        let kernels: [(&str, Kernel, Kernel); 3] = [
+            ("mm_nn", mm_nn, unblocked::mm_nn),
+            ("mm_nt", mm_nt, unblocked::mm_nt),
+            ("mm_tn", mm_tn, unblocked::mm_tn),
+        ];
+        for acc in [false, true] {
+            for (name, kernel, reference) in kernels {
+                let (mut got, mut want) = (init.to_vec(), init.to_vec());
+                kernel(a, b, &mut got, m, k, n, acc);
+                reference(a, b, &mut want, m, k, n, acc);
+                assert_bitwise(&format!("{name} {m}x{k}x{n} acc={acc}"), &got, &want);
+            }
+        }
+    }
+
+    /// `seq` with exact zeros every `zero_every` elements (the `mm_nn` /
+    /// `mm_tn` skip path).
+    fn seq_with_zeros(len: usize, zero_every: usize) -> Vec<f32> {
+        let mut v = seq(len);
+        for x in v.iter_mut().step_by(zero_every) {
+            *x = 0.0;
+        }
+        v
+    }
+
+    /// Finite values salted with -0.0 and +0.0 throughout and one each of
+    /// NaN, +Inf and -Inf at `salt`-dependent positions.
+    fn special(len: usize, salt: usize) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len)
+            .map(|i| match (i + salt) % 5 {
+                0 => -0.0,
+                3 => 0.0,
+                _ => ((i * 3 + salt) as f32 * 0.37).sin(),
+            })
+            .collect();
+        if len > 0 {
+            v[(5 * salt) % len] = f32::NAN;
+            v[(7 * salt + 2) % len] = f32::INFINITY;
+            v[(3 * salt + 1) % len] = f32::NEG_INFINITY;
+        }
+        v
+    }
+
     #[test]
     fn blocked_kernels_match_unblocked_bitwise() {
-        // Sizes straddle every tile boundary (MM_KC = 64, MM_NC = 128,
-        // MM_IC = 64); data includes exact zeros to exercise the skip path.
-        let cases = [(1, 1, 1), (3, 63, 5), (7, 64, 129), (65, 130, 257)];
+        // Sizes straddle the cache blocks (MM_KC = 64, MM_IC = 64) and the
+        // mm_nt register tile (MM_MR = 4, MM_NR = 8); (8, 64, 1883) is the
+        // decode step's tied-embedding logits. Data includes exact zeros to
+        // exercise the skip path.
+        let cases = [
+            (1, 1, 1),
+            (3, 63, 5),
+            (7, 64, 129),
+            (65, 130, 257),
+            (8, 64, 1883),
+        ];
         for &(m, k, n) in &cases {
-            let mut a = seq(m * k);
-            let mut b = seq(k * n);
-            for v in a.iter_mut().step_by(7) {
-                *v = 0.0;
+            let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
+            assert_matches_unblocked((m, k, n), &a, &b, &seq(m * n));
+        }
+        // Partial register tiles: every row remainder against a tile one
+        // column short of and one column past MM_NR, with an empty, a
+        // single-term and a multi-term reduction.
+        for m in 1..=9 {
+            for n in [MM_NR - 1, MM_NR + 1] {
+                for k in [0, 1, 16] {
+                    let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
+                    assert_matches_unblocked((m, k, n), &a, &b, &seq(m * n));
+                    // Signed zeros, infinities and NaN in A, B and C.
+                    let (a, b) = (special(m * k, m), special(k * n, n + 1));
+                    assert_matches_unblocked((m, k, n), &a, &b, &special(m * n, k + 2));
+                }
             }
-            for v in b.iter_mut().step_by(11) {
-                *v = 0.0;
-            }
+        }
+    }
+
+    #[test]
+    fn mm_nt_lanes_start_at_positive_zero() {
+        // A chain of -0.0 products stays +0.0 because each lane starts at
+        // +0.0; with k = 0 there are no products at all, and accumulating
+        // adds +0.0, which turns a -0.0 in C into +0.0 too.
+        for (m, k, n) in [(5, 3, 9), (4, 0, 8), (9, 0, 7)] {
+            let a = vec![-0.0f32; m * k];
+            let b = seq(n * k);
             for acc in [false, true] {
-                let init: Vec<f32> = seq(m * n);
-                // mm_nn: A [m,k], B [k,n].
-                let (mut c1, mut c2) = (init.clone(), init.clone());
-                mm_nn(&a, &b, &mut c1, m, k, n, acc);
-                unblocked::mm_nn(&a, &b, &mut c2, m, k, n, acc);
-                assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
-                // mm_nt: A [m,k], B [n,k] (reuse b as [n,k] when sizes fit).
-                let bt = seq(n * k);
-                let (mut c1, mut c2) = (init.clone(), init.clone());
-                mm_nt(&a, &bt, &mut c1, m, k, n, acc);
-                unblocked::mm_nt(&a, &bt, &mut c2, m, k, n, acc);
-                assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
-                // mm_tn: A [k,m], B [k,n].
-                let at = seq(k * m);
-                let (mut c1, mut c2) = (init.clone(), init);
-                mm_tn(&at, &b, &mut c1, m, k, n, acc);
-                unblocked::mm_tn(&at, &b, &mut c2, m, k, n, acc);
-                assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
+                let mut c = vec![-0.0f32; m * n];
+                mm_nt(&a, &b, &mut c, m, k, n, acc);
+                assert!(
+                    c.iter().all(|v| v.to_bits() == 0.0f32.to_bits()),
+                    "{m}x{k}x{n} acc={acc}: {c:?}"
+                );
             }
         }
     }

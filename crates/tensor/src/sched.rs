@@ -7,7 +7,9 @@
 //! (`crate::par::run_row_chunks`) implements precisely this shape, and
 //! [`declared_schedules`] builds the descriptors from the *same*
 //! `row_chunks` planner the executor uses — so what gets certified is
-//! what runs.
+//! what runs. The `mm_nt` register tile is declared the same way: its
+//! column chunks come from `kernels::mm_nt_column_tiles`, the iterator
+//! the kernel itself walks, with one SIMD lane group per chunk.
 //!
 //! For a fork-join row split the "join" is trivial (workers write
 //! disjoint rows; joining is just thread join, in worker order), but the
@@ -17,15 +19,16 @@
 //! split that isn't a left-comb over ascending chunks) where it is not.
 
 use crate::graph::MmOrient;
-use crate::par;
+use crate::{kernels, par};
 
 /// Which output/reduction axis a schedule splits across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitAxis {
     /// Output rows — each worker owns whole reduction chains. Safe.
     M,
-    /// Output columns — also owns whole chains (unused by the current
-    /// kernels, but expressible).
+    /// Output columns — also owns whole chains. The `mm_nt` register
+    /// tile splits this way: each `MM_NR`-wide chunk is one group of
+    /// SIMD lanes.
     N,
     /// The contraction axis — chops reduction chains into partial sums
     /// that must be re-combined; only a left-comb join over ascending
@@ -110,14 +113,16 @@ impl ReductionSchedule {
     }
 }
 
-/// The schedules the dispatch layer (`crate::kernels`) actually uses for
-/// an `(m, k, n)` launch at `workers` threads: every orientation splits
+/// The schedules the kernels (`crate::kernels`) actually run for an
+/// `(m, k, n)` launch at `workers` threads: every orientation splits
 /// output rows (`M`) into the planner's contiguous ascending chunks and
-/// joins along the left spine in worker order.
+/// joins along the left spine in worker order, and inside each worker
+/// `mm_nt` splits output columns (`N`) into its register tile's lane
+/// groups.
 pub fn declared_schedules(m: usize, k: usize, n: usize, workers: usize) -> Vec<ReductionSchedule> {
     let chunks = par::row_chunks(m, workers);
     let join = JoinTree::left_spine(chunks.len());
-    [
+    let mut schedules: Vec<ReductionSchedule> = [
         ("mm_nn", MmOrient::Nn),
         ("mm_nt", MmOrient::Nt),
         ("mm_tn", MmOrient::Tn),
@@ -131,7 +136,17 @@ pub fn declared_schedules(m: usize, k: usize, n: usize, workers: usize) -> Vec<R
         chunks: chunks.clone(),
         join: join.clone(),
     })
-    .collect()
+    .collect();
+    let tiles: Vec<(usize, usize)> = kernels::mm_nt_column_tiles(n).collect();
+    schedules.push(ReductionSchedule {
+        kernel: "mm_nt",
+        orient: MmOrient::Nt,
+        shape: (m, k, n),
+        split: SplitAxis::N,
+        join: JoinTree::left_spine(tiles.len()),
+        chunks: tiles,
+    });
+    schedules
 }
 
 #[cfg(test)]
@@ -152,14 +167,26 @@ mod tests {
     #[test]
     fn declared_schedules_cover_all_orientations_and_tile_m() {
         let scheds = declared_schedules(65, 130, 257, 4);
-        assert_eq!(scheds.len(), 3);
-        for s in &scheds {
+        assert_eq!(scheds.len(), 4);
+        let (rows, tile) = scheds.split_at(3);
+        for s in rows {
             assert_eq!(s.split, SplitAxis::M);
             assert_eq!(s.axis_len(), 65);
             assert_eq!(s.chunks.first().unwrap().0, 0);
             assert_eq!(s.chunks.last().unwrap().1, 65);
             assert_eq!(s.join.leaves().len(), s.chunks.len());
         }
+        // The mm_nt register tile: MM_NR-wide column chunks over n = 257,
+        // the last one a single column.
+        let tile = &tile[0];
+        assert_eq!((tile.kernel, tile.split), ("mm_nt", SplitAxis::N));
+        assert_eq!(tile.axis_len(), 257);
+        assert_eq!(tile.chunks.len(), 257usize.div_ceil(kernels::MM_NR));
+        assert!(tile.chunks[..32]
+            .iter()
+            .all(|&(lo, hi)| hi - lo == kernels::MM_NR));
+        assert_eq!(tile.chunks.last(), Some(&(256, 257)));
+        assert_eq!(tile.join.leaves().len(), tile.chunks.len());
     }
 
     #[test]
