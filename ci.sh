@@ -24,9 +24,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== batched-decode differential suite =="
+echo "== tape-oracle decode suites: engine logits and decoded tokens vs the tape forward, beam pins =="
+cargo test -p nn --test tape_oracle -q
 cargo test -p nn --test batched_differential -q
 cargo test -p nn --test batched_proptests -q
+cargo test -p nn --test decode_integration -q
 cargo test -p bench --test golden_decode -q
 
 echo "== resume-differential suite =="

@@ -61,8 +61,9 @@ pub struct HotFile {
 ///
 /// `serve::testing::ScriptedDecoder` is deliberately absent — it is a
 /// test double that trades allocation for scriptability and never serves
-/// traffic. Renaming or moving a manifest file fails the audit loudly
-/// (the file read errors) instead of silently shrinking coverage.
+/// traffic. Renaming or moving a manifest file, or renaming or deleting
+/// one of its tick functions, fails the audit loudly instead of silently
+/// shrinking coverage.
 pub const HOT_MANIFEST: &[HotFile] = &[
     HotFile {
         file: "crates/serve/src/engine.rs",
@@ -74,7 +75,7 @@ pub const HOT_MANIFEST: &[HotFile] = &[
     },
     HotFile {
         file: "crates/nn/src/batch.rs",
-        tick_fns: &["step_packed", "step_packed_into", "linear_packed"],
+        tick_fns: &["step_packed_into", "linear_packed"],
     },
     HotFile {
         file: "crates/nn/src/decode.rs",
@@ -232,6 +233,18 @@ fn tick_fn_ranges<'a>(texts: &[&str], tick_fns: &[&'a str]) -> Vec<(usize, usize
         i = body_end + 1;
     }
     ranges
+}
+
+/// The first of `tick_fns` that `text` defines no body for outside test
+/// modules.
+fn missing_tick_fn<'a>(text: &str, tick_fns: &[&'a str]) -> Option<&'a str> {
+    let (toks, _) = drop_test_modules_spanned(strip_and_lex(text).tokens);
+    let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+    let found = tick_fn_ranges(&texts, tick_fns);
+    tick_fns
+        .iter()
+        .copied()
+        .find(|name| !found.iter().any(|&(_, _, f)| f == *name))
 }
 
 /// One `ident[…]` index site: the receiver token index and the bracket
@@ -544,12 +557,19 @@ pub struct HotAudit {
     pub counts: HotCounts,
 }
 
-/// Audits every manifest file under `root`. A missing manifest file is a
-/// hard `io::Error`, not an empty result: renames must update the
-/// manifest or the audit fails loudly.
+/// Audits every [`HOT_MANIFEST`] file under `root`; see
+/// [`audit_hot_manifest`].
 pub fn audit_hot_sources(root: &Path) -> std::io::Result<HotAudit> {
+    audit_hot_manifest(root, HOT_MANIFEST)
+}
+
+/// Audits every `manifest` file under `root`. A missing file, or a tick
+/// function its file no longer defines, is a hard `io::Error` naming the
+/// file (and function), not an empty result: renames must update the
+/// manifest or the audit fails loudly.
+pub fn audit_hot_manifest(root: &Path, manifest: &[HotFile]) -> std::io::Result<HotAudit> {
     let mut audit = HotAudit::default();
-    for entry in HOT_MANIFEST {
+    for entry in manifest {
         let path = root.join(entry.file);
         let text = std::fs::read_to_string(&path).map_err(|e| {
             std::io::Error::new(
@@ -561,6 +581,16 @@ pub fn audit_hot_sources(root: &Path) -> std::io::Result<HotAudit> {
                 ),
             )
         })?;
+        if let Some(missing) = missing_tick_fn(&text, entry.tick_fns) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!(
+                    "hot-path manifest file {} defines no tick function `{missing}`; if it \
+                     was renamed or removed, update analysis::hot::HOT_MANIFEST",
+                    entry.file
+                ),
+            ));
+        }
         for finding in scan_hot_source(entry.file, &text, entry.tick_fns) {
             audit.counts.record(&finding);
             if finding.suppressed.is_some() {
@@ -753,6 +783,36 @@ mod tests {
         let text = c.to_string();
         assert!(text.contains("H004:1"), "{text}");
         assert!(text.contains("1 allowed (hot-ok)"), "{text}");
+    }
+
+    #[test]
+    fn manifest_tick_fn_missing_from_its_file_is_a_hard_error() {
+        let root = std::env::temp_dir().join(format!("hot_manifest_{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(
+            root.join("step.rs"),
+            "fn tick() {}\n#[cfg(test)]\nmod tests { fn helper() {} }\n",
+        )
+        .unwrap();
+        let manifest = |tick_fns| {
+            [HotFile {
+                file: "step.rs",
+                tick_fns,
+            }]
+        };
+        assert!(audit_hot_manifest(&root, &manifest(&["tick"])).is_ok());
+        // A name defined only inside a test module does not count.
+        let err = audit_hot_manifest(&root, &manifest(&["tick", "helper"]))
+            .unwrap_err()
+            .to_string();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert!(err.contains("step.rs") && err.contains("`helper`"), "{err}");
+    }
+
+    #[test]
+    fn every_manifest_tick_fn_exists_in_the_tree() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        audit_hot_sources(&root).unwrap();
     }
 
     #[test]

@@ -149,11 +149,16 @@ fn bench_training_step(c: &mut Criterion) {
         })
     });
     c.bench_function("nn/t5_decode_step", |b| {
-        let mut state = nn::t5::DecodeState::new(&model, &ps, &src);
-        let _ = state.step(0);
+        // One packed step of a one-token-old request: each iteration forks
+        // the request, steps the copy once, and retires it.
+        let mut engine = nn::BatchedDecodeState::new(&model, &ps, 2);
+        let slot = engine.admit(&src).unwrap();
+        let mut rows = Vec::new();
+        engine.step_packed_into(&[(slot, 0)], &mut rows);
         b.iter(|| {
-            let mut s2 = state.clone();
-            s2.step(black_box(5))
+            let copy = engine.fork(slot).unwrap();
+            engine.step_packed_into(&[(copy, black_box(5))], &mut rows);
+            engine.retire(copy);
         })
     });
 }

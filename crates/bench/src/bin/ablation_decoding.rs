@@ -11,7 +11,6 @@ use datavist5::data::{strip_prefix, Task, TaskExample};
 use datavist5::eval::eval_text_to_vis;
 use datavist5::zoo::{ModelKind, Predictor, Regime, Trained, Zoo};
 use nn::decode::beam_decode;
-use nn::t5::DecodeState;
 use tokenizer::special;
 
 /// Beam-search predictor over a trained T5.
@@ -32,8 +31,14 @@ impl Predictor for BeamPredictor<'_> {
             ids.truncate(max_len - 1);
             ids.push(special::EOS);
         }
-        let state = DecodeState::new(model, ps, &ids);
-        let out = beam_decode(state, special::EOS, self.zoo.scale.max_out(), self.width);
+        let out = beam_decode(
+            model,
+            ps,
+            &ids,
+            special::EOS,
+            self.zoo.scale.max_out(),
+            self.width,
+        );
         strip_prefix(example.task, &self.zoo.tok.decode(&out))
     }
 }

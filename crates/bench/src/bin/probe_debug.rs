@@ -6,9 +6,9 @@ use corpus::Split;
 use datavist5::data::Task;
 use datavist5::finetune::single_task_examples;
 use datavist5::zoo::Zoo;
-use nn::decode::greedy_decode;
+use nn::batch::BatchedDecodeState;
+use nn::decode::batched_greedy_decode;
 use nn::optim::LrSchedule;
-use nn::t5::DecodeState;
 use nn::train::{eval_mean, train_seq2seq, TrainConfig};
 use tokenizer::special;
 
@@ -84,13 +84,16 @@ fn main() {
         println!("after +{steps} steps @ {lr}: train loss {loss:.3}");
         // Decode one training example.
         let (src, tgt) = &train[0];
-        let mut state = DecodeState::new(&model, &ps, src);
-        let out = greedy_decode(&mut state, special::EOS, 40);
+        let out =
+            batched_greedy_decode(&model, &ps, std::slice::from_ref(src), special::EOS, 40, 1);
         println!("  gold: {:?}", zoo.tok.decode(tgt));
-        println!("  pred: {:?}", zoo.tok.decode(&out));
+        println!("  pred: {:?}", zoo.tok.decode(&out[0]));
         // Distribution at step 0.
-        let mut st2 = DecodeState::new(&model, &ps, src);
-        let logits = st2.step(nn::t5::DECODER_START);
+        let mut engine = BatchedDecodeState::new(&model, &ps, 1);
+        let slot = engine.admit(src).expect("fresh engine has a free slot");
+        let mut rows = Vec::new();
+        engine.step_packed_into(&[(slot, nn::t5::DECODER_START)], &mut rows);
+        let logits = &rows[0];
         let mut top: Vec<(usize, f32)> = logits.iter().copied().enumerate().collect();
         top.sort_by(|a, b| b.1.total_cmp(&a.1));
         let names: Vec<String> = top

@@ -8,9 +8,8 @@ use corpus::Split;
 use datavist5::data::Task;
 use datavist5::finetune::tokenize_pair;
 use datavist5::zoo::Zoo;
-use nn::decode::greedy_decode;
+use nn::decode::batched_greedy_decode;
 use nn::optim::LrSchedule;
-use nn::t5::DecodeState;
 use nn::train::{train_seq2seq, TrainConfig};
 use tokenizer::special;
 
@@ -58,11 +57,10 @@ fn main() {
         println!("example {i}: loss(tgt|own src) = {own:.3}  loss(tgt|wrong src) = {crossed:.3}");
     }
     let mut exact = 0;
-    for (i, e) in subset.iter().take(8).enumerate() {
-        let (src, _) = &data[i];
-        let mut state = DecodeState::new(&model, &ps, src);
-        let out = greedy_decode(&mut state, special::EOS, 48);
-        let pred = zoo.tok.decode(&out);
+    let srcs: Vec<Vec<u32>> = data.iter().take(8).map(|(src, _)| src.clone()).collect();
+    let outs = batched_greedy_decode(&model, &ps, &srcs, special::EOS, 48, srcs.len());
+    for (i, (e, out)) in subset.iter().zip(&outs).enumerate() {
+        let pred = zoo.tok.decode(out);
         let gold = &e.output;
         if pred == *gold {
             exact += 1;

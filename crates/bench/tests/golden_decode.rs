@@ -8,9 +8,9 @@
 //!
 //! 1. `batched_eval_matches_sequential_on_all_four_tasks` — every task's
 //!    eval harness produces *identical scores* whether predictions come
-//!    from the batched inference engine or from per-example sequential
-//!    decoding, across all three neural predictor flavors (plain greedy,
-//!    grammar-constrained, retrieval-augmented).
+//!    from batched decoding or from per-example decoding (each example a
+//!    batch of one), across all three neural predictor flavors (plain
+//!    greedy, grammar-constrained, retrieval-augmented).
 //! 2. `table04_smoke_rendering_matches_golden` — the Table IV-format
 //!    report, re-rendered through the batched eval path, is byte-identical
 //!    to the committed golden file `bench/golden/table04_smoke_decode.txt`.
@@ -43,7 +43,7 @@ fn random_trained(zoo: &Zoo, seed: u64) -> Trained {
 }
 
 /// Hides a predictor's `predict_batch` override so every prediction goes
-/// through the sequential per-example decode path.
+/// through the per-example decode path.
 struct SequentialOnly<'a>(&'a dyn Predictor);
 
 impl Predictor for SequentialOnly<'_> {

@@ -21,12 +21,10 @@ use std::path::PathBuf;
 
 use corpus::{Corpus, Split};
 use nn::ckpt::{self, StdIo};
-use nn::decode::{
-    batched_constrained_decode, batched_greedy_decode, constrained_decode, greedy_decode,
-};
+use nn::decode::{batched_constrained_decode, batched_greedy_decode, greedy_decode};
 use nn::lstm::{LstmConfig, LstmSeq2Seq};
 use nn::param::ParamSet;
-use nn::t5::{DecodeState, Positional, T5Model};
+use nn::t5::{Positional, T5Model};
 use nn::train::{train_seq2seq, CkptConfig, Example, TrainConfig};
 use tensor::XorShift;
 use tokenizer::{special, WordTokenizer};
@@ -118,8 +116,8 @@ pub trait Predictor {
     /// Predicts a whole slice of examples. The default maps
     /// [`Predictor::predict`]; the neural predictors override it to pack
     /// concurrent decodes into the batched inference engine
-    /// ([`nn::batch::BatchedDecodeState`]), which is proven token-identical
-    /// to the sequential path — overriding never changes outputs, only
+    /// ([`nn::batch::BatchedDecodeState`]), whose tokens per input do not
+    /// depend on the batch — overriding never changes outputs, only
     /// throughput.
     fn predict_batch(&self, examples: &[&TaskExample]) -> Vec<String> {
         examples.iter().map(|e| self.predict(e)).collect()
@@ -738,42 +736,31 @@ impl Zoo {
         ids
     }
 
-    /// Greedy generation for raw text input (shared by predictors).
+    /// Greedy generation for raw text input (shared by predictors): a
+    /// batch of one.
     fn generate(&self, trained: &Trained, input: &str) -> String {
-        let ids = self.encode_input(input);
-        let out = match trained {
-            Trained::T5 { model, ps } => {
-                let mut state = DecodeState::new(model, ps, &ids);
-                greedy_decode(&mut state, special::EOS, self.scale.max_out())
-            }
-            Trained::Lstm { model, ps } => {
-                let mut state = model.start_decode(ps, &ids);
-                greedy_decode(&mut state, special::EOS, self.scale.max_out())
-            }
-        };
-        self.tok.decode(&out)
+        self.generate_batch(trained, std::slice::from_ref(&input.to_string()))
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Greedy generation for many inputs at once. T5 models decode through
-    /// the batched inference engine (one packed GEMM per layer per step,
-    /// token-identical to [`Zoo::generate`]); the LSTM baseline has no
-    /// batched state and falls back to per-input decoding.
+    /// the batched inference engine (one packed GEMM per layer per step;
+    /// per input, the tokens do not depend on the batch); the LSTM
+    /// baseline has no batched state and decodes one input at a time.
     fn generate_batch(&self, trained: &Trained, inputs: &[String]) -> Vec<String> {
-        match trained {
+        let srcs = inputs.iter().map(|i| self.encode_input(i));
+        let max_out = self.scale.max_out();
+        let outs: Vec<Vec<u32>> = match trained {
             Trained::T5 { model, ps } => {
-                let srcs: Vec<Vec<u32>> = inputs.iter().map(|i| self.encode_input(i)).collect();
-                let outs = batched_greedy_decode(
-                    model,
-                    ps,
-                    &srcs,
-                    special::EOS,
-                    self.scale.max_out(),
-                    DECODE_SLOTS,
-                );
-                outs.iter().map(|o| self.tok.decode(o)).collect()
+                let srcs: Vec<Vec<u32>> = srcs.collect();
+                batched_greedy_decode(model, ps, &srcs, special::EOS, max_out, DECODE_SLOTS)
             }
-            Trained::Lstm { .. } => inputs.iter().map(|i| self.generate(trained, i)).collect(),
-        }
+            Trained::Lstm { model, ps } => srcs
+                .map(|src| greedy_decode(&mut model.start_decode(ps, &src), special::EOS, max_out))
+                .collect(),
+        };
+        outs.iter().map(|o| self.tok.decode(o)).collect()
     }
 }
 
@@ -829,9 +816,7 @@ impl ConstrainedPredictor<'_> {
         Some((grammar, zoo.encode_input(&example.input)))
     }
 
-    /// The allowed-token mask for one decode prefix. Shared verbatim by
-    /// the sequential and batched paths so constrained decoding stays
-    /// output-identical between them.
+    /// The allowed-token mask for one decode prefix.
     fn allowed(&self, grammar: &GrammarConstraint, prefix: &[u32]) -> Vec<u32> {
         let zoo = self.zoo;
         // First token is the output-corpus marker.
@@ -856,27 +841,14 @@ impl ConstrainedPredictor<'_> {
 
 impl Predictor for ConstrainedPredictor<'_> {
     fn predict(&self, example: &TaskExample) -> String {
-        let Trained::T5 { model, ps } = &self.trained else {
-            return String::new();
-        };
-        let Some((grammar, ids)) = self.prepare(example) else {
-            return String::new();
-        };
-        let mut state = DecodeState::new(model, ps, &ids);
-        let out = constrained_decode(
-            &mut state,
-            special::EOS,
-            self.zoo.scale.max_out(),
-            |prefix: &[u32]| self.allowed(&grammar, prefix),
-        );
-        strip_prefix(example.task, &self.zoo.tok.decode(&out))
+        self.predict_batch(&[example]).pop().unwrap_or_default()
     }
 
     fn predict_batch(&self, examples: &[&TaskExample]) -> Vec<String> {
         let Trained::T5 { model, ps } = &self.trained else {
             return vec![String::new(); examples.len()];
         };
-        // Examples with unknown databases predict empty (as sequentially);
+        // Examples with unknown databases predict empty;
         // the rest share one batched constrained decode.
         let prepared: Vec<Option<(GrammarConstraint, Vec<u32>)>> =
             examples.iter().map(|e| self.prepare(e)).collect();

@@ -1,25 +1,31 @@
-//! Cross-request batched incremental decoding.
+//! Cross-request batched incremental decoding: the T5 inference engine.
 //!
-//! [`BatchedDecodeState`] holds up to `capacity` independent decode
-//! requests (each with its own KV caches and its own ragged length) and
-//! advances any subset of them one token per [`step_packed`] call. The
-//! per-layer projections, feed-forward, and the vocabulary logits of all
-//! active requests are packed into single `[N, d] × [d, d']` matmuls, so
-//! the model weights stream through the cache once per step instead of
-//! once per request — and, unlike the sequential [`DecodeState`], no
-//! autodiff tape is recorded and no weight tensor is cloned.
+//! [`BatchedDecodeState`] is the only incremental T5 decoder. It holds up
+//! to `capacity` independent decode requests (each with its own KV caches
+//! and its own ragged length) and advances any subset of them one token
+//! per [`step_packed_into`] call. The per-layer projections,
+//! feed-forward, and the vocabulary logits of all active requests are
+//! packed into single `[N, d] × [d, d']` matmuls, so the model weights
+//! stream through the cache once per step instead of once per request;
+//! no autodiff tape is recorded and no weight tensor is cloned. Greedy,
+//! grammar-constrained and beam decoding in [`crate::decode`] all run
+//! here; decoding one input is a batch of one.
 //!
-//! # Exact equivalence with the sequential path
+//! # Exact equivalence with the tape forward
 //!
-//! Every request's logits are bit-identical to what [`DecodeState::step`]
-//! would produce, a property the differential suite in
-//! `crates/nn/tests/batched_differential.rs` locks in. This works because
-//! the packed matmuls process rows independently (`tensor::kernels` docs),
+//! Every request's logit row at position `i` is bit-identical to row `i`
+//! of the teacher-forced tape forward training runs
+//! (`T5Model::encode` + `decode_all` + `logits`) over the same prefix —
+//! `crates/nn/tests/tape_oracle.rs` locks this in, and the other decode
+//! suites use the tape as their reference. This works because the
+//! packed matmuls process rows independently (`tensor::kernels` docs),
 //! every row-wise op (`rms_norm`, softmax, ReLU, residual adds) is applied
 //! with the same accumulation order as the tape ops, and the per-slot
 //! attention loops below mirror the kernel loops the tape path runs —
 //! including the exact-zero skip in `mm_nn` and the
-//! multiply-by-reciprocal in `softmax_rows`.
+//! multiply-by-reciprocal in `softmax_rows`. The tape's causally masked
+//! positions add exact zeros, so its rows do not depend on how far the
+//! forced input runs.
 //!
 //! # Continuous batching
 //!
@@ -28,6 +34,8 @@
 //! differential tests) and frees its slot for immediate reuse by
 //! [`admit`] — the scheduling loop in [`crate::decode::batched_greedy_decode`]
 //! refills slots from its pending queue without draining the batch.
+//! [`fork`] copies a live request into a free slot, which is how beam
+//! search branches a hypothesis.
 //!
 //! # Prefix caching
 //!
@@ -39,21 +47,20 @@
 //! produces, so tokens stay identical cache on, off, cold, warm, or
 //! thrashing — `crates/nn/tests/cache_differential.rs` locks that in.
 //!
-//! [`step_packed`]: BatchedDecodeState::step_packed
+//! [`step_packed_into`]: BatchedDecodeState::step_packed_into
 //! [`retire`]: BatchedDecodeState::retire
 //! [`admit`]: BatchedDecodeState::admit
-//! [`DecodeState`]: crate::t5::DecodeState
-//! [`DecodeState::step`]: crate::t5::DecodeState::step
+//! [`fork`]: BatchedDecodeState::fork
 
 use std::sync::Arc;
 
 use tensor::kernels;
-use tensor::Tensor;
+use tensor::{Graph, Tensor};
 
 use crate::layers::{Linear, RelPosBias, RmsNorm};
 use crate::param::ParamSet;
 use crate::prefix_cache::{CacheStats, PrefixCache, PrefixKv};
-use crate::t5::{DecodeState, Positional, T5Model};
+use crate::t5::{Positional, T5Model};
 
 /// Where a slot's cross-attention K/V came from.
 ///
@@ -109,6 +116,8 @@ struct Slot {
     /// Per-decoder-layer growing self-attention keys/values `[t, d]`.
     self_k: Vec<Tensor>,
     self_v: Vec<Tensor>,
+    /// Source length (cross-attention K/V rows).
+    src_len: usize,
     /// Number of decoder tokens fed so far.
     t: usize,
     /// Retired slots keep their (poisoned) caches resident until reuse.
@@ -275,24 +284,27 @@ impl<'m> BatchedDecodeState<'m> {
             .count()
     }
 
+    /// The first free (empty or retired) slot.
+    fn free_slot(&self) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| !matches!(s, Some(Slot { live: true, .. })))
+    }
+
     /// Runs the encoder for `src` and installs the request in a free slot,
     /// returning its slot index — or `None` when every slot is live.
     ///
-    /// The encoder and the cross-attention K/V precomputation run through
-    /// [`DecodeState::new`], so the cached tensors are the sequential
-    /// path's own, bit for bit.
+    /// The cross-attention K/V come from `encode_cross_kv`, or from the
+    /// prefix cache when one is attached and holds `src`.
     pub fn admit(&mut self, src: &[u32]) -> Option<usize> {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| !matches!(s, Some(Slot { live: true, .. })))?;
+        let idx = self.free_slot()?;
         let (model, ps) = (self.model, self.ps);
         let cross = match self.cache.as_mut() {
             None => {
-                let mut seq = DecodeState::new(model, ps, src);
+                let kv = encode_cross_kv(model, ps, src);
                 CrossKv::Owned {
-                    k: std::mem::take(&mut seq.cross_k),
-                    v: std::mem::take(&mut seq.cross_v),
+                    k: kv.cross_k,
+                    v: kv.cross_v,
                 }
             }
             Some(cache) => match cache.lookup_pin(src) {
@@ -301,12 +313,7 @@ impl<'m> BatchedDecodeState<'m> {
                     pinned: Some(hash),
                 },
                 None => {
-                    let mut seq = DecodeState::new(model, ps, src);
-                    let fresh = PrefixKv {
-                        cross_k: std::mem::take(&mut seq.cross_k),
-                        cross_v: std::mem::take(&mut seq.cross_v),
-                    };
-                    let (kv, pinned) = cache.insert_pin(src, fresh);
+                    let (kv, pinned) = cache.insert_pin(src, encode_cross_kv(model, ps, src));
                     CrossKv::Shared { kv, pinned }
                 }
             },
@@ -324,6 +331,7 @@ impl<'m> BatchedDecodeState<'m> {
             self_v: (0..layers)
                 .map(|_| Tensor::empty_rows(d, self.kv_reserve))
                 .collect(),
+            src_len: src.len(),
             t: 0,
             live: true,
         });
@@ -331,6 +339,41 @@ impl<'m> BatchedDecodeState<'m> {
             slot: idx,
             src_len: src.len(),
         });
+        Some(idx)
+    }
+
+    /// Copies the live request in `parent` into a free slot, returning the
+    /// new slot — or `None` when every slot is live. The copy sits at the
+    /// parent's decode position with copies of its self- and
+    /// cross-attention K/V, so both continue exactly as the parent would;
+    /// beam search forks a hypothesis this way when more than one of its
+    /// children survives. The copy owns its cross K/V even when the parent
+    /// shares a prefix-cache entry (no second pin), and logs as an
+    /// admission of the parent's source length.
+    pub fn fork(&mut self, parent: usize) -> Option<usize> {
+        assert!(
+            self.is_live(parent),
+            "fork of empty or retired slot {parent}"
+        );
+        let idx = self.free_slot()?;
+        let p = self.slot(parent);
+        let layers = p.self_k.len();
+        let child = Slot {
+            cross: CrossKv::Owned {
+                k: (0..layers).map(|l| p.cross.k(l).clone()).collect(),
+                v: (0..layers).map(|l| p.cross.v(l).clone()).collect(),
+            },
+            self_k: p.self_k.clone(),
+            self_v: p.self_v.clone(),
+            src_len: p.src_len,
+            t: p.t,
+            live: true,
+        };
+        self.events.push(SlotEvent::Admitted {
+            slot: idx,
+            src_len: child.src_len,
+        });
+        self.slots[idx] = Some(child);
         Some(idx)
     }
 
@@ -346,7 +389,7 @@ impl<'m> BatchedDecodeState<'m> {
 
     /// Finishes a request: poisons every owned cache row with NaN and
     /// marks the slot free. Poisoned tensors stay resident until `admit`
-    /// reuses the slot, so a stale read from any later `step_packed`
+    /// reuses the slot, so a stale read from any later `step_packed_into`
     /// surfaces as NaN logits instead of silently borrowing another
     /// request's state. Shared cross-attention tensors belong to the
     /// prefix cache and cannot be poisoned — the slot's reference is
@@ -413,21 +456,6 @@ impl<'m> BatchedDecodeState<'m> {
             .sum()
     }
 
-    /// Advances every `(slot, previous_token)` pair by one step and returns
-    /// their next-token logit rows, in input order.
-    ///
-    /// Compatibility wrapper over [`step_packed_into`] that allocates a
-    /// fresh output buffer per call; the serving engine calls
-    /// [`step_packed_into`] directly with recycled buffers.
-    ///
-    /// [`step_packed_into`]: Self::step_packed_into
-    pub fn step_packed(&mut self, active: &[(usize, u32)]) -> Vec<Vec<f32>> {
-        // hot-ok: test/compat wrapper — the steady-state path is step_packed_into
-        let mut out = Vec::new();
-        self.step_packed_into(active, &mut out);
-        out
-    }
-
     /// Advances every `(slot, previous_token)` pair by one step, writing
     /// their next-token logit rows into `out` in input order.
     ///
@@ -447,7 +475,10 @@ impl<'m> BatchedDecodeState<'m> {
     /// [`reserve_steps`]: Self::reserve_steps
     pub fn step_packed_into(&mut self, active: &[(usize, u32)], out: &mut Vec<Vec<f32>>) {
         // hot-ok: contract teeth — an empty packed step is a scheduler bug
-        assert!(!active.is_empty(), "step_packed needs at least one request");
+        assert!(
+            !active.is_empty(),
+            "step_packed_into needs at least one request"
+        );
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.seen.clear();
         scratch.seen.resize(self.slots.len(), false);
@@ -790,7 +821,7 @@ fn add_assign(x: &mut [f32], y: &[f32]) {
 /// Single-query multi-head attention of `q` (`[d]`) over `[tk, d]` caches,
 /// writing the head-concatenated context into `ctx` (`[d]`).
 ///
-/// Mirrors the tape path of `DecodeState::step` per head: ascending-`k`
+/// Mirrors the tape attention of `T5Model::decode_all` per head: ascending-`k`
 /// score dots (the `mm_nt` register accumulation), scale by `dh^-0.5`,
 /// optional relative-position bias, `softmax_rows`, then an ascending-`t`
 /// probability-weighted sum with the `mm_nn` exact-zero skip.
@@ -845,10 +876,30 @@ fn attend_row(
     }
 }
 
+/// Runs the encoder over `src` and projects its output to every decoder
+/// layer's cross-attention keys and values — the only encoder-derived
+/// state a decode slot reads, and the payload the prefix cache stores.
+fn encode_cross_kv(model: &T5Model, ps: &ParamSet, src: &[u32]) -> PrefixKv {
+    let mut g = Graph::new();
+    let src: Vec<usize> = src.iter().map(|&t| t as usize).collect();
+    let enc_out = model.encode(&mut g, ps, &src, false);
+    let mut kv = PrefixKv {
+        cross_k: Vec::with_capacity(model.dec.len()),
+        cross_v: Vec::with_capacity(model.dec.len()),
+    };
+    for block in &model.dec {
+        let k = block.cross_attn.wk.forward(&mut g, ps, enc_out);
+        let v = block.cross_attn.wv.forward(&mut g, ps, enc_out);
+        kv.cross_k.push(g.value(k).clone());
+        kv.cross_v.push(g.value(v).clone());
+    }
+    kv
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::t5::{T5Config, DECODER_START};
+    use crate::t5::{forced_rows, T5Config, DECODER_START};
     use tensor::XorShift;
 
     fn build(positional: Positional) -> (T5Model, ParamSet) {
@@ -868,26 +919,34 @@ mod tests {
         (m, ps)
     }
 
+    /// Allocating convenience over `step_packed_into` for assertions.
+    fn step(engine: &mut BatchedDecodeState, active: &[(usize, u32)]) -> Vec<Vec<f32>> {
+        let mut out = Vec::new();
+        engine.step_packed_into(active, &mut out);
+        out
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} logit {i}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn single_request_step_is_bitwise_equal_to_sequential() {
         for positional in [Positional::RelativeBias, Positional::Sinusoidal] {
             let (m, ps) = build(positional);
             let src = [3u32, 4, 5, 1];
-            let mut seq = DecodeState::new(&m, &ps, &src);
+            let dec_input: Vec<u32> = std::iter::once(DECODER_START)
+                .chain((0..5).map(|step| step % 7 + 2))
+                .collect();
+            let want = forced_rows(&m, &ps, &src, &dec_input);
             let mut batched = BatchedDecodeState::new(&m, &ps, 2);
             let slot = batched.admit(&src).unwrap();
-            let mut prev = DECODER_START;
-            for step in 0..6 {
-                let want = seq.step(prev);
-                let got = &batched.step_packed(&[(slot, prev)])[0];
-                for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{positional:?} step {step} logit {i}: {a} vs {b}"
-                    );
-                }
-                prev = (step % 7 + 2) as u32;
+            for (i, &prev) in dec_input.iter().enumerate() {
+                let got = &step(&mut batched, &[(slot, prev)])[0];
+                assert_bits(got, &want[i], &format!("{positional:?} step {i}"));
             }
         }
     }
@@ -897,18 +956,67 @@ mod tests {
         let (m, ps) = build(Positional::RelativeBias);
         let mut batched = BatchedDecodeState::new(&m, &ps, 1);
         let slot = batched.admit(&[3, 4, 1]).unwrap();
-        batched.step_packed(&[(slot, DECODER_START)]);
+        step(&mut batched, &[(slot, DECODER_START)]);
         batched.retire(slot);
         assert!(!batched.is_live(slot));
-        // The reused slot must behave exactly like a fresh sequential state.
+        // The reused slot must behave exactly like a fresh request.
         let slot2 = batched.admit(&[5, 6, 7, 1]).unwrap();
         assert_eq!(slot2, slot);
-        let mut seq = DecodeState::new(&m, &ps, &[5, 6, 7, 1]);
-        let want = seq.step(DECODER_START);
-        let got = &batched.step_packed(&[(slot2, DECODER_START)])[0];
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let want = forced_rows(&m, &ps, &[5, 6, 7, 1], &[DECODER_START]);
+        let got = &step(&mut batched, &[(slot2, DECODER_START)])[0];
+        assert_bits(got, &want[0], "reused slot");
+    }
+
+    #[test]
+    fn fork_continues_exactly_like_its_parent() {
+        for cached in [false, true] {
+            let (m, ps) = build(Positional::RelativeBias);
+            let mut batched = if cached {
+                BatchedDecodeState::with_prefix_cache(&m, &ps, 3, PrefixCache::new(1 << 20))
+            } else {
+                BatchedDecodeState::new(&m, &ps, 3)
+            };
+            let src = [3u32, 4, 5, 1];
+            let parent = batched.admit(&src).unwrap();
+            step(&mut batched, &[(parent, DECODER_START)]);
+            step(&mut batched, &[(parent, 7)]);
+            let child = batched.fork(parent).unwrap();
+            assert_ne!(child, parent);
+            assert_eq!(batched.slot_len(child), 2, "fork keeps the position");
+            assert_eq!(
+                batched.take_slot_events().last(),
+                Some(&SlotEvent::Admitted {
+                    slot: child,
+                    src_len: src.len()
+                })
+            );
+            // Both branches continue on different tokens; each must match
+            // the tape for its own prefix.
+            let rows = step(&mut batched, &[(parent, 8), (child, 9)]);
+            let want_p = forced_rows(&m, &ps, &src, &[DECODER_START, 7, 8]);
+            let want_c = forced_rows(&m, &ps, &src, &[DECODER_START, 7, 9]);
+            assert_bits(&rows[0], &want_p[2], "parent after fork");
+            assert_bits(&rows[1], &want_c[2], "child after fork");
+            // Retiring the parent (poisoning an owned parent's caches)
+            // leaves the child intact: it owns copies.
+            batched.retire(parent);
+            let got = &step(&mut batched, &[(child, 10)])[0];
+            let want = forced_rows(&m, &ps, &src, &[DECODER_START, 7, 9, 10]);
+            assert_bits(got, &want[3], "child after parent retired");
+            if cached {
+                // Only the admission pinned the entry; the fork did not.
+                assert_eq!(batched.prefix_cache().unwrap().pinned_entries(), 0);
+            }
         }
+    }
+
+    #[test]
+    fn fork_reports_full_capacity() {
+        let (m, ps) = build(Positional::RelativeBias);
+        let mut batched = BatchedDecodeState::new(&m, &ps, 2);
+        let a = batched.admit(&[3, 1]).unwrap();
+        assert!(batched.fork(a).is_some());
+        assert!(batched.fork(a).is_none());
     }
 
     #[test]
@@ -918,7 +1026,7 @@ mod tests {
         let mut batched = BatchedDecodeState::new(&m, &ps, 1);
         let slot = batched.admit(&[3, 1]).unwrap();
         batched.retire(slot);
-        batched.step_packed(&[(slot, DECODER_START)]);
+        step(&mut batched, &[(slot, DECODER_START)]);
     }
 
     #[test]
@@ -927,7 +1035,7 @@ mod tests {
         let mut batched = BatchedDecodeState::new(&m, &ps, 2);
         let a = batched.admit(&[3, 4, 1]).unwrap();
         let b = batched.admit(&[5, 1]).unwrap();
-        batched.step_packed(&[(a, DECODER_START), (b, DECODER_START)]);
+        step(&mut batched, &[(a, DECODER_START), (b, DECODER_START)]);
         batched.retire(b);
         let c = batched.admit(&[6, 1]).unwrap();
         assert_eq!(c, b, "retired slot is reused");
@@ -975,8 +1083,8 @@ mod tests {
                 plain.cache_bytes(),
                 "round {round}: shared KV accounts like owned KV"
             );
-            let want = plain.step_packed(&[(a, DECODER_START)]);
-            let got = cached.step_packed(&[(b, DECODER_START)]);
+            let want = step(&mut plain, &[(a, DECODER_START)]);
+            let got = step(&mut cached, &[(b, DECODER_START)]);
             for (x, y) in got[0].iter().zip(want[0].iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "round {round}");
             }

@@ -1,34 +1,30 @@
 //! Decoding strategies: greedy, beam search, and grammar-constrained.
 //!
-//! Every sequence model exposes an incremental state with a
-//! `step(token) -> logits` method; the [`StepDecoder`] trait unifies them
-//! so the same decoding routines drive the T5 family and the LSTM
-//! baseline. The decoder start token is the T5 convention (`<pad>`).
+//! T5 models decode on one engine, the [`BatchedDecodeState`]:
+//! [`batched_greedy_decode`] and [`batched_constrained_decode`] drive it
+//! with continuous batching (free slots refill from the pending request
+//! queue the moment a request retires), and [`beam_decode`] runs its
+//! hypotheses as slots of one engine. Decoding a single input is a batch
+//! of one. Per request, the tokens do not depend on the capacity or on
+//! the other requests in the batch, and equal the tokens of the same
+//! pick rule applied to the teacher-forced tape forward one prefix at a
+//! time. The decode suites check both properties. The determinism
+//! contracts of [`argmax`] and [`masked_argmax`] are part of that
+//! guarantee, and unit tests lock them.
 //!
-//! For T5 models there is also a batched path:
-//! [`batched_greedy_decode`] and [`batched_constrained_decode`] drive a
-//! [`BatchedDecodeState`] with continuous batching — free slots refill
-//! from the pending request queue the moment a request retires — and are
-//! token-for-token identical to looping [`greedy_decode`] /
-//! [`constrained_decode`] over the requests one at a time (the
-//! determinism contracts of [`argmax`] and the masked pick are part of
-//! that guarantee and are locked by unit tests).
+//! The LSTM baseline keeps its own incremental state behind the
+//! [`StepDecoder`] trait, which [`greedy_decode`] drives. The decoder
+//! start token is the T5 convention (`<pad>`).
 
 use crate::batch::BatchedDecodeState;
 use crate::param::ParamSet;
 use crate::t5::{T5Model, DECODER_START};
 
 /// An incremental decoder: feed the previously produced token, get logits
-/// for the next one.
+/// for the next one (the LSTM baseline's decoding interface).
 pub trait StepDecoder {
     /// Feeds `token` and returns next-token logits over the vocabulary.
     fn step(&mut self, token: u32) -> Vec<f32>;
-}
-
-impl StepDecoder for crate::t5::DecodeState<'_> {
-    fn step(&mut self, token: u32) -> Vec<f32> {
-        crate::t5::DecodeState::step(self, token)
-    }
 }
 
 impl StepDecoder for crate::lstm::LstmDecodeState<'_> {
@@ -55,96 +51,107 @@ pub fn greedy_decode(state: &mut dyn StepDecoder, eos: u32, max_len: usize) -> V
     out
 }
 
-/// Grammar-constrained greedy decoding: at each step the caller maps the
-/// emitted prefix to the set of allowed token ids; the argmax is taken
-/// over that set only. An empty allowed set terminates decoding.
-pub fn constrained_decode(
-    state: &mut dyn StepDecoder,
-    eos: u32,
-    max_len: usize,
-    mut allowed: impl FnMut(&[u32]) -> Vec<u32>,
-) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut prev = DECODER_START;
-    for _ in 0..max_len {
-        let logits = state.step(prev);
-        let mask = allowed(&out);
-        if mask.is_empty() {
-            break;
-        }
-        let next = masked_argmax(&logits, &mask);
-        if next == eos {
-            break;
-        }
-        out.push(next);
-        prev = next;
-    }
-    out
-}
-
-/// Beam search with length-normalized log-probability scoring.
+/// Beam search with length-normalized log-probability scoring, on the
+/// batched engine.
 ///
-/// Each hypothesis owns a cloned decoder state, so `D` must be `Clone`
-/// (cheap for the cached states: a few `[t, d]` tensors).
-pub fn beam_decode<D: StepDecoder + Clone>(
-    start: D,
+/// One admission encodes `src`, and each step advances every unfinished
+/// hypothesis in one packed step. Each unfinished hypothesis owns a
+/// slot. When several children of one parent survive the cut, the first
+/// keeps the parent's slot and the others
+/// [`fork`](BatchedDecodeState::fork) it. Parents with no surviving
+/// unfinished child retire before any fork, so `width` slots always
+/// suffice. Finished (EOS) hypotheses hold no slot.
+///
+/// Ranking is deterministic: the stable sorts keep equal log-probabilities
+/// in token-id order and equal scores in candidate order, and the final
+/// pick takes the last of equal scores.
+pub fn beam_decode(
+    model: &T5Model,
+    ps: &ParamSet,
+    src: &[u32],
     eos: u32,
     max_len: usize,
-    beam_width: usize,
+    width: usize,
 ) -> Vec<u32> {
-    assert!(beam_width >= 1);
-    struct Hyp<D> {
-        state: D,
+    assert!(width >= 1, "beam width must be positive");
+    /// A hypothesis; `slot` is `None` once it has emitted EOS.
+    struct Hyp {
+        slot: Option<usize>,
         tokens: Vec<u32>,
         log_prob: f32,
-        done: bool,
     }
+    fn score(h: &Hyp) -> f32 {
+        h.log_prob / (h.tokens.len().max(1) as f32)
+    }
+    let mut state = BatchedDecodeState::new(model, ps, width);
     let mut beams = vec![Hyp {
-        state: start,
+        slot: state.admit(src),
         tokens: Vec::new(),
         log_prob: 0.0,
-        done: false,
     }];
+    let mut active: Vec<(usize, u32)> = Vec::with_capacity(width);
+    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(width);
+    let mut kept: Vec<usize> = Vec::with_capacity(width);
     for _ in 0..max_len {
-        if beams.iter().all(|b| b.done) {
+        active.clear();
+        active.extend(beams.iter().filter_map(|h| {
+            h.slot
+                .map(|s| (s, h.tokens.last().copied().unwrap_or(DECODER_START)))
+        }));
+        if active.is_empty() {
             break;
         }
-        let mut candidates: Vec<Hyp<D>> = Vec::new();
+        state.step_packed_into(&active, &mut rows);
+        // Finished hypotheses carry over in place; each unfinished one
+        // expands into its `width` best next tokens, in the slot it owns.
+        let mut next_rows = rows.iter();
+        let mut cands: Vec<Hyp> = Vec::new();
         for hyp in beams {
-            if hyp.done {
-                candidates.push(hyp);
+            let Some(logits) = hyp.slot.and_then(|_| next_rows.next()) else {
+                cands.push(hyp);
                 continue;
-            }
-            let prev = *hyp.tokens.last().unwrap_or(&DECODER_START);
-            let mut state = hyp.state.clone();
-            let logits = state.step(prev);
-            let log_probs = log_softmax(&logits);
+            };
+            let log_probs = log_softmax(logits);
             let mut top: Vec<(usize, f32)> = log_probs.iter().copied().enumerate().collect();
             top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            for &(tok, lp) in top.iter().take(beam_width) {
-                let mut tokens = hyp.tokens.clone();
+            for &(tok, lp) in top.iter().take(width) {
                 let done = tok as u32 == eos;
+                let mut tokens = hyp.tokens.clone();
                 if !done {
                     tokens.push(tok as u32);
                 }
-                candidates.push(Hyp {
-                    state: state.clone(),
+                cands.push(Hyp {
+                    slot: hyp.slot.filter(|_| !done),
                     tokens,
                     log_prob: hyp.log_prob + lp,
-                    done,
                 });
             }
         }
-        candidates.sort_by(|a, b| {
+        cands.sort_by(|a, b| {
             score(b)
                 .partial_cmp(&score(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        candidates.truncate(beam_width);
-        beams = candidates;
-    }
-    fn score<D>(h: &Hyp<D>) -> f32 {
-        h.log_prob / (h.tokens.len().max(1) as f32)
+        cands.truncate(width);
+        // Every surviving unfinished child still names its parent's slot.
+        // Slots no child names retire first; then the first child per slot
+        // keeps it and every further child gets a fork.
+        for &(slot, _) in &active {
+            if !cands.iter().any(|h| h.slot == Some(slot)) {
+                state.retire(slot);
+            }
+        }
+        kept.clear();
+        for h in &mut cands {
+            let Some(slot) = h.slot else { continue };
+            if kept.contains(&slot) {
+                h.slot = state.fork(slot);
+                debug_assert!(h.slot.is_some(), "width slots hold every live child");
+            } else {
+                kept.push(slot);
+            }
+        }
+        beams = cands;
     }
     beams
         .into_iter()
@@ -159,9 +166,9 @@ pub fn beam_decode<D: StepDecoder + Clone>(
 
 /// Index of the largest logit, breaking ties toward the **lowest** index.
 ///
-/// The tie rule is a determinism contract: the batched and sequential
-/// greedy decoders both route through this function, so equal logits can
-/// never make the two paths diverge.
+/// The tie rule is a determinism contract: every greedy decoder and the
+/// tape reference in the test suites route through this function, so
+/// equal logits can never make two of them diverge.
 pub fn argmax(xs: &[f32]) -> u32 {
     let mut best = 0usize;
     for (i, &x) in xs.iter().enumerate() {
@@ -173,9 +180,8 @@ pub fn argmax(xs: &[f32]) -> u32 {
 }
 
 /// The best-scoring token of a non-empty `mask`, breaking ties toward the
-/// **last** mask entry (the historical `Iterator::max_by` behaviour of
-/// [`constrained_decode`], now shared with the batched path so both pick
-/// identically).
+/// **last** mask entry (the `Iterator::max_by` behaviour, which the
+/// grammar-constrained decoders have always used).
 pub fn masked_argmax(logits: &[f32], mask: &[u32]) -> u32 {
     mask.iter()
         .copied()
@@ -206,12 +212,11 @@ pub fn log_softmax(xs: &[f32]) -> Vec<f32> {
 /// [`BatchedDecodeState`] with `capacity` slots, returning per-request
 /// outputs in input order.
 ///
-/// Token-for-token identical to running [`greedy_decode`] over a
-/// sequential `DecodeState` per request: same per-request step count,
-/// same [`argmax`] tie-breaking, bit-identical logits (see
-/// [`crate::batch`]). Slots retire on EOS or `max_len` and refill from
-/// the pending queue immediately (continuous batching), so a long request
-/// never blocks admission of short ones.
+/// Per request, the tokens are the same for every `capacity` and every
+/// batch composition: the logits are bit-identical (see [`crate::batch`])
+/// and [`argmax`] breaks ties the same way. Slots retire on EOS or
+/// `max_len` and refill from the pending queue immediately (continuous
+/// batching), so a long request never blocks admission of short ones.
 pub fn batched_greedy_decode(
     model: &T5Model,
     ps: &ParamSet,
@@ -229,10 +234,9 @@ pub fn batched_greedy_decode(
 /// Batched grammar-constrained greedy decoding.
 ///
 /// `allowed(request, prefix)` maps each request's emitted prefix to its
-/// allowed token ids, exactly like the closure of [`constrained_decode`];
-/// an empty set finishes that request. Per request the output is
-/// token-for-token identical to the sequential routine, including the
-/// last-entry tie-breaking of [`masked_argmax`].
+/// allowed token ids; the next token is the [`masked_argmax`] over that
+/// set (last-entry tie-breaking), and an empty set finishes the request
+/// without emitting.
 pub fn batched_constrained_decode(
     model: &T5Model,
     ps: &ParamSet,
@@ -257,7 +261,8 @@ pub fn batched_constrained_decode(
 /// `pick(request, logits, prefix)` returns the next token, or `None` to
 /// finish the request without emitting (EOS or an empty constraint set).
 /// Requests admit in input order whenever a slot is free; each lives for
-/// exactly as many packed steps as its sequential counterpart would take.
+/// exactly as many packed steps as it emits tokens, plus the finishing
+/// step when it ends on `None`.
 fn batched_decode_loop(
     model: &T5Model,
     ps: &ParamSet,
@@ -369,7 +374,6 @@ mod tests {
 
     /// A scripted decoder: at step `t` it returns logits favouring
     /// `script[t]`.
-    #[derive(Clone)]
     struct Scripted {
         script: Vec<u32>,
         t: usize,
@@ -406,39 +410,53 @@ mod tests {
         assert_eq!(greedy_decode(&mut s, 1, 3).len(), 3);
     }
 
+    fn tiny_t5() -> (T5Model, ParamSet) {
+        let mut ps = ParamSet::new();
+        let mut rng = tensor::XorShift::new(7);
+        let cfg = crate::t5::T5Config {
+            vocab: 8,
+            d_model: 8,
+            d_ff: 16,
+            heads: 2,
+            enc_layers: 1,
+            dec_layers: 1,
+            dropout: 0.0,
+            positional: crate::t5::Positional::RelativeBias,
+        };
+        let m = T5Model::new(&mut ps, "m", cfg, &mut rng);
+        (m, ps)
+    }
+
     #[test]
     fn constrained_decoding_overrides_argmax() {
-        // Model wants 4 but only 5 is allowed.
-        let mut s = Scripted {
-            script: vec![4, 1],
-            t: 0,
-            vocab: 8,
-        };
-        let out = constrained_decode(&mut s, 1, 10, |prefix| {
+        // Whatever the model prefers first, a one-token mask wins.
+        let (m, ps) = tiny_t5();
+        let srcs = vec![vec![3, 4, 1]];
+        let wanted = batched_greedy_decode(&m, &ps, &srcs, 1, 1, 1)[0]
+            .first()
+            .copied();
+        let forced = if wanted == Some(5) { 6 } else { 5 };
+        let out = batched_constrained_decode(&m, &ps, &srcs, 1, 10, 1, |_, prefix| {
             if prefix.is_empty() {
-                vec![5]
+                vec![forced]
             } else {
                 vec![1]
             }
         });
-        assert_eq!(out, vec![5]);
+        assert_eq!(out, vec![vec![forced]]);
     }
 
     #[test]
     fn constrained_stops_on_empty_mask() {
-        let mut s = Scripted {
-            script: vec![4; 10],
-            t: 0,
-            vocab: 8,
-        };
-        let out = constrained_decode(&mut s, 1, 10, |prefix| {
+        let (m, ps) = tiny_t5();
+        let out = batched_constrained_decode(&m, &ps, &[vec![3, 4, 1]], 1, 10, 1, |_, prefix| {
             if prefix.len() < 2 {
                 vec![4]
             } else {
                 vec![]
             }
         });
-        assert_eq!(out, vec![4, 4]);
+        assert_eq!(out, vec![vec![4, 4]]);
     }
 
     #[test]
@@ -476,47 +494,5 @@ mod tests {
         let masked = log_softmax(&[f32::NEG_INFINITY, 0.0, f32::NEG_INFINITY]);
         assert_eq!(masked[0], f32::NEG_INFINITY);
         assert!((masked[1] - 0.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn beam_matches_greedy_on_peaked_distributions() {
-        let s = Scripted {
-            script: vec![3, 6, 2, 1],
-            t: 0,
-            vocab: 8,
-        };
-        let beam = beam_decode(s.clone(), 1, 10, 3);
-        let mut s2 = s;
-        let greedy = greedy_decode(&mut s2, 1, 10);
-        assert_eq!(beam, greedy);
-    }
-
-    /// A decoder where greedy is suboptimal: token 2 looks best first but
-    /// leads to low-probability continuations.
-    #[derive(Clone)]
-    struct Garden {
-        path: Vec<u32>,
-    }
-
-    impl StepDecoder for Garden {
-        fn step(&mut self, _token: u32) -> Vec<f32> {
-            match self.path.as_slice() {
-                // Step 0: token 2 slightly beats token 3.
-                [] => {
-                    self.path.push(99);
-                    vec![0.0, 0.0, 1.0, 0.9]
-                }
-                _ => vec![0.0, 2.0, 0.0, 0.0],
-            }
-        }
-    }
-
-    #[test]
-    fn beam_explores_more_than_one_path() {
-        // With width 2 both first tokens survive; the final scores differ
-        // only via the first step, so beam keeps the greedy winner — this
-        // exercises the multi-hypothesis bookkeeping end to end.
-        let out = beam_decode(Garden { path: vec![] }, 1, 2, 2);
-        assert!(!out.is_empty());
     }
 }

@@ -15,18 +15,18 @@
 //! * [`layers`] — Linear, Embedding, RMSNorm, feed-forward, multi-head
 //!   attention with T5 relative-position buckets;
 //! * [`t5`] — the T5-style encoder–decoder (pre-norm, shared relative bias,
-//!   tied embeddings) with a KV-cached incremental decoder;
-//! * [`batch`] — the cross-request batched inference engine: concurrent
-//!   decodes packed into shared `[N, d]` matmuls, bit-identical to the
-//!   sequential path, with continuous slot-based batching;
+//!   tied embeddings) and its teacher-forced tape forward;
+//! * [`batch`] — the T5 inference engine, the one KV-cached incremental
+//!   decoder: concurrent decodes packed into shared `[N, d]` matmuls,
+//!   bit-identical to the tape forward, with continuous slot-based
+//!   batching and slot forks for beam search;
 //! * [`prefix_cache`] — the cross-request encoder-output cache: decoder
 //!   cross-attention K/V blocks keyed by a content hash of the
 //!   standardized input, byte-bounded with deterministic LRU eviction
 //!   and pinning, bit-invisible to decoded tokens;
 //! * [`lstm`] — the attention LSTM seq2seq used by the Seq2Vis baseline;
 //! * [`lora`] — low-rank adapters over frozen linear weights;
-//! * [`decode`] / [`sample`] — greedy, beam, grammar-constrained, and
-//!   temperature/top-k sampling decoders;
+//! * [`decode`] — greedy, beam, and grammar-constrained decoders;
 //! * [`train`] — a seq2seq training loop with gradient accumulation.
 
 pub mod batch;
@@ -38,7 +38,6 @@ pub mod lstm;
 pub mod optim;
 pub mod param;
 pub mod prefix_cache;
-pub mod sample;
 pub mod t5;
 pub mod train;
 

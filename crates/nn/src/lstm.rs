@@ -3,9 +3,10 @@
 //! Seq2Vis (Luo et al., 2021) treats text-to-vis as machine translation
 //! with an attention-equipped encoder–decoder RNN. This module implements a
 //! single-layer LSTM encoder, an LSTM decoder with Luong dot-product
-//! attention over encoder states, and a projection head. The same
-//! `loss`/`DecodeState`-style interface as [`crate::t5`] lets the training
-//! loop and decoders treat both model families uniformly.
+//! attention over encoder states, and a projection head. It shares the
+//! `loss` interface of [`crate::t5`], so one training loop drives both
+//! model families; its incremental [`LstmDecodeState`] is what
+//! [`crate::decode::greedy_decode`] steps through the `StepDecoder` trait.
 
 use tensor::{Graph, Tensor, Var, XorShift};
 

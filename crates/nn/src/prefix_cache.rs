@@ -34,7 +34,7 @@
 //!
 //! # Bit-invisibility
 //!
-//! A cache hit hands back the very tensors a cold [`DecodeState::new`]
+//! A cache hit hands back the very tensors a cold admission's encoder
 //! run produced for the same input — the same bits, shared via `Arc`
 //! rather than recomputed. Whether the cache is off, cold, pre-warmed,
 //! or thrashing under a tiny byte budget, decoded tokens and KV bytes
@@ -50,8 +50,6 @@
 //! registered diagnostic code (`C001` hit, `C002` miss, `C003` evict,
 //! `C004` bypass — see `analysis::registry`), and the running tallies
 //! surface as `serve.cache.*` obs counters/gauges.
-//!
-//! [`DecodeState::new`]: crate::t5::DecodeState::new
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,7 +70,7 @@ pub fn prefix_hash(tokens: &[u32]) -> u64 {
 
 /// The encoder-derived state one decode slot needs: per-decoder-layer
 /// cross-attention keys and values (`[src_len, d_model]` each), exactly
-/// as `DecodeState::new` precomputes them.
+/// as `BatchedDecodeState::admit` computes them on a cache miss.
 #[derive(Debug, Clone)]
 pub struct PrefixKv {
     pub cross_k: Vec<Tensor>,

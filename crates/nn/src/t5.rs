@@ -7,12 +7,12 @@
 //! positional mode turns the same code into the "vanilla Transformer"
 //! baseline of the paper's tables.
 //!
-//! Two forward paths exist:
-//!
-//! * [`T5Model::loss`] — the training path on the autodiff tape;
-//! * [`DecodeState`] — KV-cached incremental inference (one token per
-//!   step), used by every decoder in [`crate::decode`]. A unit test checks
-//!   the two paths produce identical logits.
+//! This module holds the model and its tape forward: [`T5Model::encode`],
+//! [`T5Model::decode_all`] and [`T5Model::logits`], which training runs
+//! teacher-forced through [`T5Model::loss`]. Inference runs the same
+//! weights through the packed incremental decoder in [`crate::batch`],
+//! and the decode test suites check its logits against this forward bit
+//! for bit.
 
 use tensor::{Graph, Tensor, Var, XorShift};
 
@@ -238,12 +238,12 @@ impl T5Model {
         t
     }
 
-    fn embed(&self, g: &mut Graph, ps: &ParamSet, ids: &[usize], offset: usize) -> Var {
+    fn embed(&self, g: &mut Graph, ps: &ParamSet, ids: &[usize]) -> Var {
         let x = self.emb.forward(g, ps, ids);
         match self.cfg.positional {
             Positional::RelativeBias => x,
             Positional::Sinusoidal => {
-                let pos = g.leaf(self.sinusoidal(ids.len(), offset), false);
+                let pos = g.leaf(self.sinusoidal(ids.len(), 0), false);
                 g.add(x, pos)
             }
         }
@@ -260,7 +260,7 @@ impl T5Model {
     /// Runs the encoder over source ids, returning `[ts, d]` states.
     pub fn encode(&self, g: &mut Graph, ps: &ParamSet, src: &[usize], train: bool) -> Var {
         let ts = src.len();
-        let mut x = self.embed(g, ps, src, 0);
+        let mut x = self.embed(g, ps, src);
         x = self.maybe_dropout(g, x, train);
         let bias = self.enc_bias.as_ref().map(|b| b.bias(g, ps, ts, ts, 0));
         for block in &self.enc {
@@ -286,7 +286,7 @@ impl T5Model {
         train: bool,
     ) -> Var {
         let tt = dec_input.len();
-        let mut x = self.embed(g, ps, dec_input, 0);
+        let mut x = self.embed(g, ps, dec_input);
         x = self.maybe_dropout(g, x, train);
         let mask = g.leaf(causal_mask(self.cfg.heads, tt, tt, 0), false);
         let self_bias = match self.dec_bias.as_ref() {
@@ -362,143 +362,33 @@ impl T5Model {
     }
 }
 
-/// KV-cached incremental decoding state for one source sequence.
-#[derive(Clone)]
-pub struct DecodeState<'m> {
-    model: &'m T5Model,
-    ps: &'m ParamSet,
-    /// Per-decoder-layer cached cross-attention keys/values `[ts, d]`.
-    pub(crate) cross_k: Vec<Tensor>,
-    pub(crate) cross_v: Vec<Tensor>,
-    /// Per-decoder-layer growing self-attention keys/values `[t, d]`.
-    pub(crate) self_k: Vec<Tensor>,
-    pub(crate) self_v: Vec<Tensor>,
-    /// Number of tokens fed so far.
-    t: usize,
-}
-
-impl<'m> DecodeState<'m> {
-    /// Runs the encoder and precomputes cross-attention keys/values.
-    pub fn new(model: &'m T5Model, ps: &'m ParamSet, src: &[u32]) -> Self {
-        let mut g = Graph::new();
-        let src: Vec<usize> = src.iter().map(|&t| t as usize).collect();
-        let enc_out = model.encode(&mut g, ps, &src, false);
-        let mut cross_k = Vec::with_capacity(model.dec.len());
-        let mut cross_v = Vec::with_capacity(model.dec.len());
-        for block in &model.dec {
-            let k = block.cross_attn.wk.forward(&mut g, ps, enc_out);
-            let v = block.cross_attn.wv.forward(&mut g, ps, enc_out);
-            cross_k.push(g.value(k).clone());
-            cross_v.push(g.value(v).clone());
-        }
-        Self {
-            model,
-            ps,
-            cross_k,
-            cross_v,
-            self_k: vec![Tensor::zeros(vec![0, model.cfg.d_model]); model.dec.len()],
-            self_v: vec![Tensor::zeros(vec![0, model.cfg.d_model]); model.dec.len()],
-            t: 0,
-        }
-    }
-
-    /// Number of decoder tokens consumed.
-    pub fn len(&self) -> usize {
-        self.t
-    }
-
-    /// Whether any step has been taken.
-    pub fn is_empty(&self) -> bool {
-        self.t == 0
-    }
-
-    /// Feeds one decoder token (the previous output, starting with
-    /// [`DECODER_START`]) and returns next-token logits.
-    pub fn step(&mut self, token: u32) -> Vec<f32> {
-        let m = self.model;
-        let ps = self.ps;
-        let d = m.cfg.d_model;
-        let heads = m.cfg.heads;
-        let dh = d / heads;
-        let pos = self.t;
-        let mut g = Graph::new();
-
-        let mut x = m.embed(&mut g, ps, &[token as usize], pos);
-        for (l, block) in m.dec.iter().enumerate() {
-            // Self-attention with cache.
-            let normed = block.norm1.forward(&mut g, ps, x);
-            let q = block.self_attn.wq.forward(&mut g, ps, normed);
-            let k_new = block.self_attn.wk.forward(&mut g, ps, normed);
-            let v_new = block.self_attn.wv.forward(&mut g, ps, normed);
-            append_row(&mut self.self_k[l], g.value(k_new));
-            append_row(&mut self.self_v[l], g.value(v_new));
-            let tk = pos + 1;
-            let k_all = g.leaf(self.self_k[l].clone(), false);
-            let v_all = g.leaf(self.self_v[l].clone(), false);
-            // Heads: q -> [H,1,dh], K/V -> [H,tk,dh].
-            let q3 = g.reshape(q, vec![1, heads, dh]);
-            let q3 = g.permute3(q3, [1, 0, 2]);
-            let k3 = g.reshape(k_all, vec![tk, heads, dh]);
-            let k3 = g.permute3(k3, [1, 0, 2]);
-            let v3 = g.reshape(v_all, vec![tk, heads, dh]);
-            let v3 = g.permute3(v3, [1, 0, 2]);
-            let scores = g.bmm(q3, k3, true);
-            let mut scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
-            if let Some(b) = m.dec_bias.as_ref() {
-                let bias = b.bias(&mut g, ps, 1, tk, pos);
-                scores = g.add(scores, bias);
-            }
-            let probs = g.softmax(scores);
-            let ctx = g.bmm(probs, v3, false);
-            let ctx = g.permute3(ctx, [1, 0, 2]);
-            let ctx = g.reshape(ctx, vec![1, d]);
-            let attn = block.self_attn.wo.forward(&mut g, ps, ctx);
-            x = g.add(x, attn);
-
-            // Cross-attention with precomputed keys/values.
-            let normed = block.norm2.forward(&mut g, ps, x);
-            let q = block.cross_attn.wq.forward(&mut g, ps, normed);
-            let ts = self.cross_k[l].shape()[0];
-            let k_all = g.leaf(self.cross_k[l].clone(), false);
-            let v_all = g.leaf(self.cross_v[l].clone(), false);
-            let q3 = g.reshape(q, vec![1, heads, dh]);
-            let q3 = g.permute3(q3, [1, 0, 2]);
-            let k3 = g.reshape(k_all, vec![ts, heads, dh]);
-            let k3 = g.permute3(k3, [1, 0, 2]);
-            let v3 = g.reshape(v_all, vec![ts, heads, dh]);
-            let v3 = g.permute3(v3, [1, 0, 2]);
-            let scores = g.bmm(q3, k3, true);
-            let scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
-            let probs = g.softmax(scores);
-            let ctx = g.bmm(probs, v3, false);
-            let ctx = g.permute3(ctx, [1, 0, 2]);
-            let ctx = g.reshape(ctx, vec![1, d]);
-            let cross = block.cross_attn.wo.forward(&mut g, ps, ctx);
-            x = g.add(x, cross);
-
-            // Feed-forward.
-            let normed = block.norm3.forward(&mut g, ps, x);
-            let ff = block.ff.forward(&mut g, ps, normed);
-            x = g.add(x, ff);
-        }
-        let x = m.dec_final.forward(&mut g, ps, x);
-        let logits = m.logits(&mut g, ps, x);
-        self.t += 1;
-        g.value(logits).data().to_vec()
-    }
-}
-
-fn append_row(store: &mut Tensor, row: &Tensor) {
-    let d = row.shape()[1];
-    let t = store.shape()[0];
-    let mut data = std::mem::take(store).into_data();
-    data.extend_from_slice(row.data());
-    *store = Tensor::from_vec(vec![t + 1, d], data);
+/// Teacher-forced logit rows of `dec_input` given `src`: row `i` is the
+/// prediction after `dec_input[..=i]`, the reference the unit tests hold
+/// the inference engine to.
+#[cfg(test)]
+pub(crate) fn forced_rows(
+    m: &T5Model,
+    ps: &ParamSet,
+    src: &[u32],
+    dec_input: &[u32],
+) -> Vec<Vec<f32>> {
+    let mut g = Graph::new();
+    let src: Vec<usize> = src.iter().map(|&t| t as usize).collect();
+    let dec: Vec<usize> = dec_input.iter().map(|&t| t as usize).collect();
+    let enc = m.encode(&mut g, ps, &src, false);
+    let out = m.decode_all(&mut g, ps, enc, &dec, false);
+    let logits = m.logits(&mut g, ps, out);
+    g.value(logits)
+        .data()
+        .chunks(m.cfg.vocab)
+        .map(<[f32]>::to_vec)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchedDecodeState;
 
     fn tiny_cfg(positional: Positional) -> T5Config {
         T5Config {
@@ -545,34 +435,31 @@ mod tests {
         assert!(ps.grad_norm() > 0.0);
     }
 
+    /// Steps a one-slot engine through `tgt_prefix` and checks every
+    /// logit row against the full forward, bit for bit.
+    fn assert_incremental_matches(m: &T5Model, ps: &ParamSet, src: &[u32], tgt_prefix: &[u32]) {
+        let full = forced_rows(m, ps, src, tgt_prefix);
+        let mut engine = BatchedDecodeState::new(m, ps, 1);
+        let slot = engine.admit(src).unwrap();
+        let mut rows = Vec::new();
+        for (i, &tok) in tgt_prefix.iter().enumerate() {
+            engine.step_packed_into(&[(slot, tok)], &mut rows);
+            for (a, b) in rows[0].iter().zip(full[i].iter()) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{:?} pos {i}: incremental {a} vs full {b}",
+                    m.cfg.positional
+                );
+            }
+        }
+    }
+
     #[test]
     fn incremental_decode_matches_full_forward() {
         for positional in [Positional::RelativeBias, Positional::Sinusoidal] {
             let (m, ps) = build(positional);
-            let src = [3u32, 4, 5, 6, 1];
-            let tgt_prefix = [DECODER_START, 7, 8, 9];
-
-            // Full forward logits at every position.
-            let mut g = Graph::new();
-            let src_usize: Vec<usize> = src.iter().map(|&t| t as usize).collect();
-            let dec_input: Vec<usize> = tgt_prefix.iter().map(|&t| t as usize).collect();
-            let enc_out = m.encode(&mut g, &ps, &src_usize, false);
-            let dec_out = m.decode_all(&mut g, &ps, enc_out, &dec_input, false);
-            let logits = m.logits(&mut g, &ps, dec_out);
-            let full = g.value(logits).clone();
-
-            // Incremental decode.
-            let mut state = DecodeState::new(&m, &ps, &src);
-            for (i, &tok) in tgt_prefix.iter().enumerate() {
-                let step_logits = state.step(tok);
-                let want = &full.data()[i * m.cfg.vocab..(i + 1) * m.cfg.vocab];
-                for (a, b) in step_logits.iter().zip(want.iter()) {
-                    assert!(
-                        (a - b).abs() < 1e-3,
-                        "{positional:?} pos {i}: incremental {a} vs full {b}"
-                    );
-                }
-            }
+            assert_incremental_matches(&m, &ps, &[3, 4, 5, 6, 1], &[DECODER_START, 7, 8, 9]);
         }
     }
 
@@ -594,40 +481,17 @@ mod tests {
 
         let src = [3u32, 4, 5, 6, 1];
         let tgt_prefix = [DECODER_START, 7, 8, 9];
-        let mut g = Graph::new();
-        let src_usize: Vec<usize> = src.iter().map(|&t| t as usize).collect();
-        let dec_input: Vec<usize> = tgt_prefix.iter().map(|&t| t as usize).collect();
-        let enc_out = m.encode(&mut g, &ps, &src_usize, false);
-        let dec_out = m.decode_all(&mut g, &ps, enc_out, &dec_input, false);
-        let logits = m.logits(&mut g, &ps, dec_out);
-        let full = g.value(logits).clone();
-
         // The adapters must actually change the logits...
         let (plain, plain_ps) = build(Positional::RelativeBias);
-        let mut g2 = Graph::new();
-        let enc2 = plain.encode(&mut g2, &plain_ps, &src_usize, false);
-        let dec2 = plain.decode_all(&mut g2, &plain_ps, enc2, &dec_input, false);
-        let logits2 = plain.logits(&mut g2, &plain_ps, dec2);
-        let delta = full
-            .data()
+        let delta = forced_rows(&m, &ps, &src, &tgt_prefix)
+            .concat()
             .iter()
-            .zip(g2.value(logits2).data().iter())
+            .zip(forced_rows(&plain, &plain_ps, &src, &tgt_prefix).concat())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(delta > 1e-4, "LoRA perturbation had no effect");
-
         // ...and the incremental decode must match the full forward.
-        let mut state = DecodeState::new(&m, &ps, &src);
-        for (i, &tok) in tgt_prefix.iter().enumerate() {
-            let step_logits = state.step(tok);
-            let want = &full.data()[i * m.cfg.vocab..(i + 1) * m.cfg.vocab];
-            for (a, b) in step_logits.iter().zip(want.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-3,
-                    "lora pos {i}: incremental {a} vs full {b}"
-                );
-            }
-        }
+        assert_incremental_matches(&m, &ps, &src, &tgt_prefix);
     }
 
     #[test]

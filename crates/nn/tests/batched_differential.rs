@@ -1,17 +1,22 @@
 //! Differential suite: the batched inference engine against the
-//! sequential decode path.
+//! teacher-forced tape forward.
 //!
 //! For batch sizes 1–8 over randomly-initialized tiny models,
-//! `batched_greedy_decode` must be token-for-token identical to running
-//! `DecodeState` + `greedy_decode` per request — across ragged source
-//! lengths, staggered EOS (requests retiring at different steps while
-//! others continue), both positional modes, LoRA-adapted weights, and
-//! capacities smaller than the request count (continuous slot reuse).
+//! `batched_greedy_decode` must be token-for-token identical to greedy
+//! decoding on the tape (`common::tape_greedy`) per request — across
+//! ragged source lengths, staggered EOS (requests retiring at different
+//! steps while others continue), both positional modes, LoRA-adapted
+//! weights, and capacities smaller than the request count (continuous
+//! slot reuse). "Sequential" in the test names means the reference
+//! decodes one request at a time.
 
+mod common;
+
+use common::{forced_logits, tape_greedy};
 use nn::batch::BatchedDecodeState;
-use nn::decode::{batched_greedy_decode, greedy_decode};
+use nn::decode::batched_greedy_decode;
 use nn::param::ParamSet;
-use nn::t5::{DecodeState, Positional, T5Config, T5Model, DECODER_START};
+use nn::t5::{Positional, T5Config, T5Model, DECODER_START};
 use tensor::{Tensor, XorShift};
 
 const EOS: u32 = 1;
@@ -49,12 +54,9 @@ fn random_srcs(seed: u64, count: usize, vocab: u32) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn sequential_outputs(m: &T5Model, ps: &ParamSet, srcs: &[Vec<u32>]) -> Vec<Vec<u32>> {
+fn tape_outputs(m: &T5Model, ps: &ParamSet, srcs: &[Vec<u32>]) -> Vec<Vec<u32>> {
     srcs.iter()
-        .map(|src| {
-            let mut state = DecodeState::new(m, ps, src);
-            greedy_decode(&mut state, EOS, MAX_LEN)
-        })
+        .map(|src| tape_greedy(m, ps, src, EOS, MAX_LEN))
         .collect()
 }
 
@@ -64,7 +66,7 @@ fn batched_greedy_matches_sequential_for_batch_sizes_1_to_8() {
         for batch in 1..=8usize {
             let (m, ps) = random_model(1000 + batch as u64, positional);
             let srcs = random_srcs(2000 + batch as u64, batch, m.cfg.vocab as u32);
-            let want = sequential_outputs(&m, &ps, &srcs);
+            let want = tape_outputs(&m, &ps, &srcs);
             let got = batched_greedy_decode(&m, &ps, &srcs, EOS, MAX_LEN, batch);
             assert_eq!(got, want, "{positional:?} batch {batch} diverged");
         }
@@ -74,10 +76,10 @@ fn batched_greedy_matches_sequential_for_batch_sizes_1_to_8() {
 #[test]
 fn batched_greedy_matches_sequential_with_slot_reuse() {
     // More requests than slots: retired slots must refill mid-flight and
-    // the refilled requests must still match their sequential outputs.
+    // the refilled requests must still match their tape outputs.
     let (m, ps) = random_model(7, Positional::RelativeBias);
     let srcs = random_srcs(8, 11, m.cfg.vocab as u32);
-    let want = sequential_outputs(&m, &ps, &srcs);
+    let want = tape_outputs(&m, &ps, &srcs);
     for capacity in [1, 2, 3, 8] {
         let got = batched_greedy_decode(&m, &ps, &srcs, EOS, MAX_LEN, capacity);
         assert_eq!(got, want, "capacity {capacity} diverged");
@@ -99,7 +101,7 @@ fn batched_greedy_matches_sequential_on_lora_adapted_model() {
         }
     }
     let srcs = random_srcs(23, 6, m.cfg.vocab as u32);
-    let want = sequential_outputs(&m, &ps, &srcs);
+    let want = tape_outputs(&m, &ps, &srcs);
     let got = batched_greedy_decode(&m, &ps, &srcs, EOS, MAX_LEN, 4);
     assert_eq!(got, want);
 }
@@ -108,43 +110,38 @@ fn batched_greedy_matches_sequential_on_lora_adapted_model() {
 fn staggered_eos_keeps_survivors_bitwise_identical() {
     // Drive the engine by hand so we can check logits (not just tokens)
     // while requests retire at different steps. Each surviving request's
-    // logit rows must stay bit-identical to its own sequential decode no
-    // matter which neighbours have retired (and been NaN-poisoned).
+    // logit rows must stay bit-identical to its own tape rows no matter
+    // which neighbours have retired (and been NaN-poisoned).
     let (m, ps) = random_model(31, Positional::RelativeBias);
     let srcs = random_srcs(32, 4, m.cfg.vocab as u32);
-    // Per-request sequential traces: logits of every step.
+    // Every request is fed DECODER_START, then 2, 3, …; one forced tape
+    // pass per request yields the logits of every step.
     let steps = 6usize;
-    let seq_trace: Vec<Vec<Vec<f32>>> = srcs
+    let dec_input: Vec<u32> = std::iter::once(DECODER_START)
+        .chain((0..steps as u32 - 1).map(|i| (2 + i) % m.cfg.vocab as u32))
+        .collect();
+    let tape_trace: Vec<Vec<Vec<f32>>> = srcs
         .iter()
-        .map(|src| {
-            let mut state = DecodeState::new(&m, &ps, src);
-            let mut prev = DECODER_START;
-            (0..steps)
-                .map(|i| {
-                    let logits = state.step(prev);
-                    prev = (2 + i as u32) % m.cfg.vocab as u32;
-                    logits
-                })
-                .collect()
-        })
+        .map(|src| forced_logits(&m, &ps, src, &dec_input))
         .collect();
 
     let mut engine = BatchedDecodeState::new(&m, &ps, srcs.len());
     let slots: Vec<usize> = srcs.iter().map(|s| engine.admit(s).unwrap()).collect();
+    let mut rows = Vec::new();
     // Request r retires after `2 + r` steps.
     let mut alive: Vec<usize> = (0..srcs.len()).collect();
-    let mut prev: Vec<u32> = vec![DECODER_START; srcs.len()];
-    // `step` indexes into `seq_trace[r]` for a request `r` chosen inside
+    // `step` indexes into `tape_trace[r]` for a request `r` chosen inside
     // the loop, so iterating a single trace is not equivalent.
     #[allow(clippy::needless_range_loop)]
     for step in 0..steps {
         if alive.is_empty() {
             break;
         }
-        let active: Vec<(usize, u32)> = alive.iter().map(|&r| (slots[r], prev[r])).collect();
-        let rows = engine.step_packed(&active);
+        let active: Vec<(usize, u32)> =
+            alive.iter().map(|&r| (slots[r], dec_input[step])).collect();
+        engine.step_packed_into(&active, &mut rows);
         for (&r, row) in alive.iter().zip(rows.iter()) {
-            let want = &seq_trace[r][step];
+            let want = &tape_trace[r][step];
             for (i, (a, b)) in row.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -152,7 +149,6 @@ fn staggered_eos_keeps_survivors_bitwise_identical() {
                     "request {r} step {step} logit {i}: {a} vs {b}"
                 );
             }
-            prev[r] = (2 + step as u32) % m.cfg.vocab as u32;
         }
         alive.retain(|&r| {
             if step + 1 == 2 + r {

@@ -2,18 +2,21 @@
 //!
 //! Two contracts: (1) batched grammar-constrained decoding with an
 //! arbitrary (randomly generated, prefix-dependent) mask function agrees
-//! with the sequential `constrained_decode` on every request; (2) slot
-//! retirement never leaks one request's state into another — retiring
-//! NaN-poisons the slot's caches, so if any later packed step read them
-//! the survivors' logits would go NaN and their token streams would
-//! diverge from the sequential reference. Both are checked across random
-//! batch shapes, ragged sources, and retirement schedules.
+//! with constrained decoding on the tape (`common::tape_constrained`) on
+//! every request; (2) slot retirement never leaks one request's state
+//! into another — retiring NaN-poisons the slot's caches, so if any later
+//! packed step read them the survivors' logits would go NaN and their
+//! token streams would diverge from the tape reference. Both are checked
+//! across random batch shapes, ragged sources, and retirement schedules.
+
+mod common;
 
 use proptest::prelude::*;
 
-use nn::decode::{batched_constrained_decode, constrained_decode, greedy_decode};
+use common::{tape_constrained, tape_greedy};
+use nn::decode::batched_constrained_decode;
 use nn::param::ParamSet;
-use nn::t5::{DecodeState, Positional, T5Config, T5Model};
+use nn::t5::{Positional, T5Config, T5Model};
 use tensor::XorShift;
 
 const EOS: u32 = 1;
@@ -52,7 +55,7 @@ fn random_srcs(seed: u64, count: usize) -> Vec<Vec<u32>> {
 }
 
 /// A deterministic pseudo-random grammar: the allowed set depends only on
-/// `(seed, request, prefix)`, so the sequential and batched closures see
+/// `(seed, request, prefix)`, so the tape and batched closures see
 /// identical masks. Sets occasionally go empty (hard stop) and sometimes
 /// include EOS.
 fn grammar_mask(seed: u64, req: usize, prefix: &[u32]) -> Vec<u32> {
@@ -79,7 +82,7 @@ fn grammar_mask(seed: u64, req: usize, prefix: &[u32]) -> Vec<u32> {
 
 proptest! {
     /// Batched constrained decoding with a random grammar mask agrees
-    /// with `constrained_decode` per request.
+    /// with one-request-at-a-time constrained decoding on the tape.
     #[test]
     fn batched_constrained_matches_sequential(
         model_seed in 0u64..200,
@@ -93,8 +96,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(req, src)| {
-                let mut state = DecodeState::new(&m, &ps, src);
-                constrained_decode(&mut state, EOS, MAX_LEN, |prefix| {
+                tape_constrained(&m, &ps, src, EOS, MAX_LEN, |prefix| {
                     grammar_mask(grammar_seed, req, prefix)
                 })
             })
@@ -108,7 +110,7 @@ proptest! {
 
     /// Retiring a request mid-batch (which NaN-poisons its slot) never
     /// perturbs the survivors: their greedy outputs stay identical to the
-    /// sequential path and entirely finite. A leak of the poisoned caches
+    /// tape path and entirely finite. A leak of the poisoned caches
     /// into a packed matmul would propagate NaN into the survivors'
     /// logits, making argmax return token 0 and the comparison fail.
     #[test]
@@ -121,10 +123,7 @@ proptest! {
         let srcs = random_srcs(src_seed, batch);
         let want: Vec<Vec<u32>> = srcs
             .iter()
-            .map(|src| {
-                let mut state = DecodeState::new(&m, &ps, src);
-                greedy_decode(&mut state, EOS, MAX_LEN)
-            })
+            .map(|src| tape_greedy(&m, &ps, src, EOS, MAX_LEN))
             .collect();
         // Capacity below batch forces staggered admissions *and*
         // retirements: survivors keep stepping beside poisoned slots.

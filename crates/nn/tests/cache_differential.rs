@@ -57,6 +57,7 @@ fn run_workload(
     let mut pending: VecDeque<usize> = (0..sources.len()).collect();
     // slot -> (request, previous token, tokens emitted)
     let mut active: BTreeMap<usize, (usize, u32, usize)> = BTreeMap::new();
+    let mut logits = Vec::new();
     loop {
         while let Some(&req) = pending.front() {
             let Some(slot) = state.admit(&sources[req]) else {
@@ -69,7 +70,7 @@ fn run_workload(
             break;
         }
         let batch: Vec<(usize, u32)> = active.iter().map(|(&s, &(_, prev, _))| (s, prev)).collect();
-        let logits = state.step_packed(&batch);
+        state.step_packed_into(&batch, &mut logits);
         kv_trace.push(state.cache_bytes());
         let mut done = Vec::new();
         for (&(slot, _), row) in batch.iter().zip(&logits) {

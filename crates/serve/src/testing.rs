@@ -152,7 +152,7 @@ impl BatchDecoder for ScriptedDecoder {
     }
 
     fn step_packed_into(&mut self, active: &[(usize, u32)], out: &mut Vec<Vec<f32>>) {
-        assert!(!active.is_empty(), "step_packed with no active slots");
+        assert!(!active.is_empty(), "step_packed_into with no active slots");
         self.seen_scratch.clear();
         self.seen_scratch.resize(self.slots.len(), false);
         out.truncate(active.len());
