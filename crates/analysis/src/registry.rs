@@ -267,27 +267,6 @@ pub const CODES: &[CodeEntry] = &[
         family: "cache",
         summary: "insert bypassed: oversized, all-pinned, or hash collision",
     },
-    // Perf-trajectory gate (bench::perf::gate, the perf_gate bin).
-    CodeEntry {
-        code: "T001",
-        family: "perf",
-        summary: "series moved against its direction beyond the tolerance band",
-    },
-    CodeEntry {
-        code: "T002",
-        family: "perf",
-        summary: "baseline series no current bench emits",
-    },
-    CodeEntry {
-        code: "T003",
-        family: "perf",
-        summary: "perf schema violation: bad name, unit, value, or duplicate",
-    },
-    CodeEntry {
-        code: "T004",
-        family: "perf",
-        summary: "stale gate entry naming a series no bin emits",
-    },
 ];
 
 /// Looks up a code's entry.
@@ -307,10 +286,7 @@ mod tests {
             assert!(seen.insert(e.code), "duplicate code {}", e.code);
             let (prefix, digits) = e.code.split_at(1);
             assert!(
-                matches!(
-                    prefix,
-                    "S" | "G" | "N" | "V" | "D" | "P" | "H" | "R" | "C" | "T"
-                ),
+                matches!(prefix, "S" | "G" | "N" | "V" | "D" | "P" | "H" | "R" | "C"),
                 "unknown family prefix in {}",
                 e.code
             );

@@ -7,7 +7,7 @@
 //! step, i.e. what `every = 1` would cost (divide by `every` for any
 //! other cadence).
 //!
-//! Writes `BENCH_ckpt.json` at the repo root:
+//! Writes `target/bench/BENCH_ckpt.json`:
 //! `{presets: [{preset, param_scalars, ckpt_bytes, save_ms, load_ms,
 //!   step_ms, overhead_pct_per_step}]}`.
 //!
@@ -35,11 +35,7 @@ fn dataset() -> Vec<Example> {
         .collect()
 }
 
-fn bench_preset(
-    preset: &str,
-    cfg: T5Config,
-    steps: usize,
-) -> (serde_json::Value, Vec<bench::perf::PerfSample>) {
+fn bench_preset(preset: &str, cfg: T5Config, steps: usize) -> serde_json::Value {
     let mut ps = ParamSet::new();
     let mut rng = XorShift::new(0xc4b7);
     let model = T5Model::new(&mut ps, "bench", cfg, &mut rng);
@@ -96,7 +92,7 @@ fn bench_preset(
         "[ckpt_bench] {preset}: {bytes} B | save {save_ms:.2} ms | load {load_ms:.2} ms | \
          step {step_ms:.2} ms | overhead {overhead_pct:.1}%/step"
     );
-    let legacy = serde_json::json!({
+    serde_json::json!({
         "preset": preset,
         "param_scalars": ps.num_scalars(),
         "ckpt_bytes": bytes as i64,
@@ -104,25 +100,7 @@ fn bench_preset(
         "load_ms": load_ms,
         "step_ms": step_ms,
         "overhead_pct_per_step": overhead_pct,
-    });
-    let samples = vec![
-        bench::perf::sample(
-            &format!("ckpt/{preset}/save_ms"),
-            bench::perf::Unit::Ms,
-            save_ms,
-        ),
-        bench::perf::sample(
-            &format!("ckpt/{preset}/load_ms"),
-            bench::perf::Unit::Ms,
-            load_ms,
-        ),
-        bench::perf::sample(
-            &format!("ckpt/{preset}/step_ms"),
-            bench::perf::Unit::Ms,
-            step_ms,
-        ),
-    ];
-    (legacy, samples)
+    })
 }
 
 fn main() {
@@ -141,15 +119,11 @@ fn main() {
         }
     }
 
-    let (base_json, base_samples) = bench_preset("base", T5Config::base(VOCAB), steps);
-    let (large_json, large_samples) = bench_preset("large", T5Config::large(VOCAB), steps);
-    let presets = vec![base_json, large_json];
-    let mut samples = base_samples;
-    samples.extend(large_samples);
-    // The preset lives in the series names (`ckpt/base/…`, `ckpt/large/…`)
-    // since one run covers both; legacy `presets` kept for one release.
-    let perf = bench::perf::PerfBlock::new(bench::perf::run_header("ckpt", None), samples);
-    let json = serde_json::json!({ "presets": presets, "perf": perf.to_json() });
+    let presets = vec![
+        bench_preset("base", T5Config::base(VOCAB), steps),
+        bench_preset("large", T5Config::large(VOCAB), steps),
+    ];
+    let json = serde_json::json!({ "presets": presets });
     let rendered = serde_json::to_string_pretty(&json).expect("serialize");
     println!("{rendered}");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_ckpt.json");

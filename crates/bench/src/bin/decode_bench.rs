@@ -8,13 +8,6 @@
 //! ratio isolates batching. The batched outputs are asserted
 //! token-identical to the one-slot ones before any number is reported.
 //!
-//! The series keep their historical names: `decode/seq/*` is the
-//! one-slot arm and `decode/batched/speedup` is batched over one-slot.
-//! Before the engine became the only T5 decoder, the `seq` arm stepped a
-//! separate decoder that recorded an autodiff tape per token, so
-//! committed ratios from that time measure tape overhead plus batching
-//! and are larger than this comparison produces.
-//!
 //! The batched run is then swept across `DATAVIST5_THREADS` ∈ {1, 2, 4}:
 //! the fork-join kernels run under certified M-split schedules, so every
 //! thread count must produce *bitwise-identical* tokens — the sweep
@@ -22,9 +15,10 @@
 //! the speedup is honestly ~1.0×; `hardware_threads` in the report says
 //! how many cores the numbers were measured on.
 //!
-//! Writes `BENCH_decode.json` at the repo root:
+//! Writes `target/bench/BENCH_decode.json`:
 //! `{preset, requests, batch, max_out, hardware_threads,
-//!   seq_tokens_per_sec, batched_tokens_per_sec, speedup, identical,
+//!   one_slot_tokens_per_sec, batched_tokens_per_sec,
+//!   batched_tokens_per_sec_4_threads, batched_over_one_slot, identical,
 //!   thread_sweep: [{threads, tokens_per_sec, identical_to_single}]}`.
 //!
 //! Usage: `decode_bench [--preset base|large] [--requests N] [--batch N]
@@ -32,7 +26,6 @@
 
 use std::time::Instant;
 
-use bench::perf::{sample, PerfBlock, Unit};
 use nn::decode::batched_greedy_decode;
 use nn::param::ParamSet;
 use nn::t5::{T5Config, T5Model};
@@ -136,71 +129,34 @@ fn main() {
     );
     assert_eq!(seq_tokens, requests * max_out, "unexpected early EOS");
 
-    let seq_tps = seq_tokens as f64 / seq_secs;
+    let one_slot_tps = seq_tokens as f64 / seq_secs;
     let batched_tps = tps_by_threads[0].1;
-    let speedup = batched_tps / seq_tps;
+    let batched_over_one_slot = batched_tps / one_slot_tps;
     let tps_at_4 = tps_by_threads
         .iter()
         .find(|(t, _)| *t == 4)
         .map(|(_, tps)| *tps)
         .unwrap_or(batched_tps);
 
-    // The thread sweep must be monotone-or-flagged: `worst_step_ratio`
-    // is the smallest tokens/sec ratio between consecutive thread counts
-    // (1.0 = perfectly monotone, <1.0 = some step loses throughput). The
-    // perf gate tracks it, so a parallelism collapse like the old 6.8×
-    // 4-thread regression shows up as a T001 instead of rotting silently.
-    let worst_step_ratio = tps_by_threads
-        .windows(2)
-        .map(|w| w[1].1 / w[0].1)
-        .fold(1.0_f64, f64::min);
-    let mut samples = vec![
-        sample("decode/seq/tokens_per_sec", Unit::TokensPerSec, seq_tps),
-        sample(
-            "decode/batched/tokens_per_sec",
-            Unit::TokensPerSec,
-            batched_tps,
-        ),
-        sample("decode/batched/speedup", Unit::Ratio, speedup),
-        sample(
-            "decode/sweep/worst_step_ratio",
-            Unit::Ratio,
-            worst_step_ratio,
-        ),
-    ];
-    for (threads, tps) in &tps_by_threads {
-        if *threads > 1 {
-            samples.push(sample(
-                &format!("decode/batched/t{threads}/tokens_per_sec"),
-                Unit::TokensPerSec,
-                *tps,
-            ));
-        }
-    }
-    let perf = PerfBlock::new(bench::perf::run_header("decode", Some(&preset)), samples);
-
-    // Legacy ad-hoc fields are kept alongside the canonical `perf` block
-    // for one release; readers should migrate to `perf.samples`.
     let json = serde_json::json!({
         "preset": preset,
         "requests": requests,
         "batch": batch,
         "max_out": max_out,
         "hardware_threads": hardware_threads,
-        "seq_tokens_per_sec": seq_tps,
+        "one_slot_tokens_per_sec": one_slot_tps,
         "batched_tokens_per_sec": batched_tps,
         "batched_tokens_per_sec_4_threads": tps_at_4,
-        "speedup": speedup,
+        "batched_over_one_slot": batched_over_one_slot,
         "identical": identical,
         "thread_sweep": sweep,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&json).expect("serialize");
     println!("{rendered}");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_decode.json");
     eprintln!(
-        "[decode_bench] one-slot {seq_tps:.0} tok/s | batched {batched_tps:.0} tok/s | \
-         speedup {speedup:.2}x -> {}",
+        "[decode_bench] one-slot {one_slot_tps:.0} tok/s | batched {batched_tps:.0} tok/s | \
+         batched/one-slot {batched_over_one_slot:.2}x -> {}",
         out_path.display()
     );
 }

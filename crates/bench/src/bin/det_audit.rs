@@ -13,7 +13,7 @@
 //!    reduction in its canonical order and bit-compares (D010), then runs
 //!    backward twice and bit-compares all gradients (D011).
 //!
-//! Writes `BENCH_det_audit.json` at the repo root and exits nonzero on
+//! Writes `target/bench/BENCH_det_audit.json` and exits nonzero on
 //! any unsuppressed finding — `ci.sh` runs this as a gate.
 //!
 //! ```text
@@ -112,21 +112,6 @@ fn main() {
         .iter()
         .map(|(code, message)| serde_json::json!({ "code": code, "message": message }))
         .collect();
-    let perf = bench::perf::PerfBlock::new(
-        bench::perf::run_header("det_audit", None),
-        vec![
-            bench::perf::sample(
-                "audit/det/files",
-                bench::perf::Unit::Count,
-                counts.files as f64,
-            ),
-            bench::perf::sample(
-                "audit/det/allowed",
-                bench::perf::Unit::Count,
-                counts.suppressed as f64,
-            ),
-        ],
-    );
     let report = serde_json::json!({
         "bench": "det_audit",
         "files": counts.files,
@@ -146,7 +131,6 @@ fn main() {
         "allowlist": allowed_json,
         "tape_findings": tape_json,
         "clean": counts.unsuppressed() == 0,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&report).expect("render report");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_det_audit.json");

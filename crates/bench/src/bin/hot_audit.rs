@@ -15,7 +15,7 @@
 //! certifies that a warm decode tick performs zero heap allocations —
 //! the property H004 polices at the source level.
 //!
-//! Writes `BENCH_hot_audit.json` at the repo root and exits nonzero on
+//! Writes `target/bench/BENCH_hot_audit.json` and exits nonzero on
 //! any unsuppressed finding — `ci.sh` runs this as a gate.
 //!
 //! ```text
@@ -72,21 +72,6 @@ fn main() {
             })
         })
         .collect();
-    let perf = bench::perf::PerfBlock::new(
-        bench::perf::run_header("hot_audit", None),
-        vec![
-            bench::perf::sample(
-                "audit/hot/files",
-                bench::perf::Unit::Count,
-                counts.files as f64,
-            ),
-            bench::perf::sample(
-                "audit/hot/allowed",
-                bench::perf::Unit::Count,
-                counts.suppressed as f64,
-            ),
-        ],
-    );
     let report = serde_json::json!({
         "bench": "hot_audit",
         "files": counts.files,
@@ -104,7 +89,6 @@ fn main() {
         "findings": findings_json,
         "allowlist": allowed_json,
         "clean": counts.unsuppressed() == 0,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&report).expect("render report");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_hot_audit.json");

@@ -8,7 +8,7 @@
 //! or the binary exits nonzero — this is the acceptance gate for the
 //! profiler staying wired into every hot path.
 //!
-//! Artifacts: `BENCH_obs.json` (machine-readable summary), plus
+//! Artifacts: `target/bench/BENCH_obs.json` (machine-readable summary),
 //! `target/bench/obs_events.jsonl` (the raw event log) and
 //! `target/bench/obs_trace.json` (Chrome `trace_event` export; load it
 //! at `chrome://tracing` or <https://ui.perfetto.dev>). These change on
@@ -276,22 +276,6 @@ fn run_report(
     for (name, total) in &snap.counters {
         counter_obj.push(serde_json::json!({ "name": name.clone(), "total": *total as i64 }));
     }
-    // Canonical perf block: step wall time, attribution coverage, and
-    // per-OpKind FLOP/s + bytes/s derived from the profiler aggregates
-    // for the train step — kernel-level throughput per phase with zero
-    // new instrumentation.
-    let mut samples = vec![
-        bench::perf::sample(
-            "train/step_ms",
-            bench::perf::Unit::Ms,
-            step.total_ns as f64 / 1e6,
-        ),
-        bench::perf::sample("obs/coverage", bench::perf::Unit::Ratio, coverage),
-    ];
-    samples.extend(bench::perf::kernel_series(&step_kernels));
-    let perf = bench::perf::PerfBlock::new(bench::perf::run_header("obs", Some(preset)), samples);
-
-    // Legacy ad-hoc fields kept alongside `perf` for one release.
     let json = serde_json::json!({
         "preset": preset.to_string(),
         "pretrain_steps": pretrain_steps,
@@ -304,7 +288,6 @@ fn run_report(
         "spans": span_rows,
         "step_kernels": kernel_rows,
         "counters": counter_obj,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&json).expect("serialize");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_obs.json");
@@ -435,27 +418,6 @@ fn run_overhead(tol: f64, repeats: usize, out_path: String) {
     obs::set_enabled(false);
     obs::reset();
 
-    // The bespoke file shape folds into canonical series: the headline
-    // is `obs/overhead_ratio` — the slowdown factor of *enabling* the
-    // layer (baseline ÷ obs-on throughput, 1.0 = free, gated downward
-    // in bench/perf_gates.toml).
-    let perf = bench::perf::PerfBlock::new(
-        bench::perf::run_header("obs_overhead", None),
-        vec![
-            bench::perf::sample(
-                "obs/overhead_ratio",
-                bench::perf::Unit::Ratio,
-                baseline_tps / on_tps,
-            ),
-            bench::perf::sample("obs/off_rel_delta", bench::perf::Unit::Ratio, rel),
-            bench::perf::sample(
-                "obs/baseline_tokens_per_sec",
-                bench::perf::Unit::TokensPerSec,
-                baseline_tps,
-            ),
-        ],
-    );
-    // Legacy ad-hoc fields kept alongside `perf` for one release.
     let json = serde_json::json!({
         "tokens_per_pass": tokens,
         "repeats": repeats,
@@ -465,7 +427,6 @@ fn run_overhead(tol: f64, repeats: usize, out_path: String) {
         "obs_on_tokens_per_sec": on_tps,
         "off_rel_delta": rel,
         "tol": tol,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&json).expect("serialize");
     std::fs::write(&out_path, rendered + "\n").expect("write overhead json");

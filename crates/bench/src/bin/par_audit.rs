@@ -17,7 +17,7 @@
 //!    reduction orders in `analysis::order`. A schedule that is not
 //!    bit-equivalent to the sequential fold is P010.
 //!
-//! Writes `BENCH_par_audit.json` at the repo root and exits nonzero on
+//! Writes `target/bench/BENCH_par_audit.json` and exits nonzero on
 //! any unsuppressed finding — `ci.sh` runs this as a gate.
 //!
 //! ```text
@@ -110,26 +110,6 @@ fn main() {
             })
         })
         .collect();
-    let perf = bench::perf::PerfBlock::new(
-        bench::perf::run_header("par_audit", None),
-        vec![
-            bench::perf::sample(
-                "audit/par/files",
-                bench::perf::Unit::Count,
-                counts.files as f64,
-            ),
-            bench::perf::sample(
-                "audit/par/allowed",
-                bench::perf::Unit::Count,
-                counts.suppressed as f64,
-            ),
-            bench::perf::sample(
-                "audit/par/schedules_certified",
-                bench::perf::Unit::Count,
-                certified as f64,
-            ),
-        ],
-    );
     let report = serde_json::json!({
         "bench": "par_audit",
         "files": counts.files,
@@ -154,7 +134,6 @@ fn main() {
             "rejections": rejections,
         },
         "clean": counts.unsuppressed() == 0,
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&report).expect("render report");
     std::fs::write(&out_path, rendered + "\n").expect("write BENCH_par_audit.json");

@@ -27,7 +27,7 @@
 //! 90%-reuse phase shows a nonzero hit rate — CI runs a 2-client smoke
 //! of this.
 //!
-//! Writes `BENCH_serve.json` at the repo root.
+//! Writes `target/bench/BENCH_serve.json`.
 //!
 //! Usage: `serve_bench [--requests N] [--clients N] [--slots N]
 //! [--queue-cap N] [--max-out N] [--seed S] [--cache-bytes N]
@@ -211,7 +211,6 @@ fn main() {
     // cache-on run. Deadline-free so completed == arrivals and QPS
     // comparisons across phases measure compute, not deadline luck.
     let mut cache_phases = Vec::new();
-    let mut cache_samples: Vec<bench::perf::PerfSample> = Vec::new();
     let mut cache_identical = true;
     let mut reuse90_hit_rate = 0.0f64;
     for reuse in [0u8, 50, 90] {
@@ -254,18 +253,6 @@ fn main() {
             stats.hits,
             stats.lookups()
         );
-        cache_samples.push(bench::perf::sample(
-            &format!("serve/cache/reuse{reuse}/qps"),
-            bench::perf::Unit::Qps,
-            qps,
-        ));
-        if reuse == 90 {
-            cache_samples.push(bench::perf::sample(
-                "serve/cache/reuse90/hit_rate",
-                bench::perf::Unit::Ratio,
-                stats.hit_rate(),
-            ));
-        }
         cache_phases.push(serde_json::json!({
             "reuse_pct": reuse,
             "hit_rate": stats.hit_rate(),
@@ -282,23 +269,6 @@ fn main() {
     }
     let identical = identical && cache_identical;
 
-    let mut samples = vec![
-        bench::perf::sample(
-            "serve/virtual/p99_ms",
-            bench::perf::Unit::Ms,
-            ServeReport::percentile_ns(&vlat, 99) as f64 / 1e6,
-        ),
-        bench::perf::sample("serve/real/qps", bench::perf::Unit::Qps, qps),
-        bench::perf::sample(
-            "serve/real/p99_ms",
-            bench::perf::Unit::Ms,
-            ServeReport::percentile_ns(&rlat, 99) as f64 / 1e6,
-        ),
-    ];
-    samples.extend(cache_samples);
-    let perf = bench::perf::PerfBlock::new(bench::perf::run_header("serve", None), samples);
-
-    // Legacy ad-hoc fields kept alongside `perf` for one release.
     let json = serde_json::json!({
         "requests": requests,
         "clients": clients,
@@ -327,7 +297,6 @@ fn main() {
             "fairness": real.fairness(),
             "per_task": per_task,
         },
-        "perf": perf.to_json(),
     });
     let rendered = serde_json::to_string_pretty(&json).expect("serialize");
     println!("{rendered}");

@@ -10,7 +10,6 @@ use std::path::PathBuf;
 
 use datavist5::config::Scale;
 
-pub mod perf;
 pub mod trace;
 
 /// The scale experiment binaries run at: `DATAVIST5_SCALE` if set,
@@ -25,8 +24,9 @@ pub fn experiment_scale() -> Scale {
 
 /// The workspace root: the working directory when it contains `crates/`
 /// (the `cargo run` convention), else resolved from this crate's
-/// compile-time location. Used by the determinism audit to find the
-/// sources it sweeps.
+/// compile-time location. The audits sweep the sources under it, and
+/// every report path below resolves from it, so a bin writes to the same
+/// place whichever directory it is started from.
 pub fn workspace_root() -> PathBuf {
     let cwd = PathBuf::from(".");
     if cwd.join("crates").is_dir() {
@@ -35,12 +35,12 @@ pub fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// The default `--out` path for a bench binary's JSON report: the
-/// workspace root, named `BENCH_<name>.json`. Every bench bin that emits
-/// machine-readable output takes `--out PATH` and defaults to this, so
-/// CI artifacts land in one predictable place.
+/// The default `--out` path for a bench binary's JSON report:
+/// `target/bench/BENCH_<name>.json`. Every bench bin that emits
+/// machine-readable output takes `--out PATH` and defaults to this; the
+/// reports describe one run on one machine, so none is committed.
 pub fn default_bench_out(name: &str) -> PathBuf {
-    workspace_root().join(format!("BENCH_{name}.json"))
+    scratch_dir().join(format!("BENCH_{name}.json"))
 }
 
 /// Parses the conventional `--out PATH` argument shared by the bench
@@ -70,7 +70,7 @@ pub fn parse_out_arg(bin: &str) -> PathBuf {
 /// Output directory for *blessed* reports: paper tables and figures that
 /// are committed to the repository and reviewed when they change.
 pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("bench").join("out");
+    let dir = workspace_root().join("bench").join("out");
     let _ = std::fs::create_dir_all(&dir);
     dir
 }

@@ -103,23 +103,10 @@ fn hot_auditor_codes_match_the_registry() {
 }
 
 #[test]
-fn perf_gate_codes_match_the_registry() {
-    // The T family must stay in lockstep across bench::perf::gate, the
-    // registry, and the DESIGN.md table (checked by the tests above).
-    let perf: Vec<&str> = CODES
-        .iter()
-        .filter(|e| e.family == "perf")
-        .map(|e| e.code)
-        .collect();
-    assert_eq!(perf, ["T001", "T002", "T003", "T004"]);
-}
-
-#[test]
 fn registry_covers_all_families() {
     let families: std::collections::BTreeSet<&str> = CODES.iter().map(|e| e.family).collect();
     for family in [
-        "shape", "flow", "sanitize", "vql", "det", "order", "par", "sched", "hot", "serve",
-        "cache", "perf",
+        "shape", "flow", "sanitize", "vql", "det", "order", "par", "sched", "hot", "serve", "cache",
     ] {
         assert!(
             families.contains(family),

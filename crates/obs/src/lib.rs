@@ -313,9 +313,9 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Aggregates the flattened kernel rows across spans into
-    /// per-`(op, phase)` totals — the export surface the perf-trajectory
-    /// harness derives its `kernel/<op>/<phase>/...` throughput series
-    /// from. `BTreeMap` keyed, so iteration order is deterministic.
+    /// per-`(op, phase)` totals, from which per-kernel FLOP/s and bytes/s
+    /// follow over the summed time. `BTreeMap` keyed, so iteration order
+    /// is deterministic.
     pub fn kernel_totals(&self) -> BTreeMap<(String, Phase), KernelStat> {
         let mut totals: BTreeMap<(String, Phase), KernelStat> = BTreeMap::new();
         for entry in &self.kernels {
