@@ -8,7 +8,8 @@
 # warnings denied across every target (libs, bins, tests, benches) so new
 # warnings fail the build instead of accumulating. `cargo test --workspace`
 # runs every suite once in the debug profile; the stages after it run only
-# what it does not: the release-profile allocation count and the bins.
+# what it does not: the kernel suites and the allocation count in the
+# release profile, and the bins.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,6 +27,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test -q =="
 cargo test --workspace -q
+
+echo "== kernel arms as compiled: kernel, tape-oracle and batched-differential suites (release profile) =="
+cargo test --release -p tensor --lib -q
+cargo test --release -p nn --test tape_oracle --test batched_differential -q
 
 echo "== determinism audit: source lints + tape reduction orders =="
 cargo run --release -p bench --bin det_audit -- --out target/BENCH_det_audit.json

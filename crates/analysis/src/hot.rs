@@ -87,7 +87,7 @@ pub const HOT_MANIFEST: &[HotFile] = &[
     },
     HotFile {
         file: "crates/tensor/src/kernels.rs",
-        tick_fns: &["mm_nn", "mm_nt", "softmax_rows"],
+        tick_fns: &["mm_nn", "mm_nn_on", "mm_nt", "mm_nt_on", "softmax_rows"],
     },
 ];
 

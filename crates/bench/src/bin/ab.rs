@@ -29,13 +29,19 @@
 //! * `unresolved`: either arm's quartile distance over its median exceeds
 //!   `bound`, unless every change run beats every parent run;
 //! * `failures`: the change failed a larger share of its operations
-//!   (Σfailed / Σattempted over the workload's runs) than the parent.
+//!   (Σfailed / Σattempted over the workload's runs) than the parent. A
+//!   run that printed no result line (it crashed or timed out) counts as
+//!   one attempted and one failed operation.
 //!
 //! The report, with every run's result, goes to `target/ab/report.json`,
 //! and stdout gets a markdown table: per arm the median and Q1–Q3, the
 //! median of the per-pair change/parent ratios, wins/losses/ties, the
-//! flags and each arm's failure share. Both commits are recorded with
-//! `git rev-parse`: inside a worktree the benchmark cannot read its own.
+//! flags and each arm's failure share. A metric no pair has both values
+//! of gets a row with only its failure shares. Both commits are recorded
+//! with `git rev-parse`: inside a worktree the benchmark cannot read its
+//! own. So is the matmul kernels' instruction-set arm on this host
+//! (`tensor::kernels::arm_name`), which the change runs; the benchmark
+//! does not print it.
 //!
 //! Exits 0 when every run of both arms built, finished and printed
 //! `"correct": true`, 1 otherwise and 2 on bad arguments. Flags never
@@ -290,7 +296,7 @@ fn verdict(better: Better, bound: f64, pairs: &[(f64, f64)], failure_share: (f64
     if (spread(&parent) > bound || spread(&change) > bound) && !all_beat {
         flags.push("unresolved");
     }
-    if failure_share.1 > failure_share.0 {
+    if more_failures(failure_share) {
         flags.push("failures");
     }
     Verdict {
@@ -304,10 +310,19 @@ fn verdict(better: Better, bound: f64, pairs: &[(f64, f64)], failure_share: (f64
     }
 }
 
-/// Σfailed / Σattempted over one arm's runs.
+/// The `failures` flag: the change's failure share (the second) is the
+/// larger.
+fn more_failures((parent, change): (f64, f64)) -> bool {
+    change > parent
+}
+
+/// Σfailed / Σattempted over one arm's runs, a run without a result
+/// counting as one failed operation.
 fn failure_share(pairs: &[Pair], arm: usize) -> f64 {
-    let results = pairs.iter().filter_map(|p| p[arm].as_ref());
-    let (failed, attempted) = results.fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted));
+    let (failed, attempted) = pairs.iter().fold((0, 0), |(f, a), p| match &p[arm] {
+        Some(r) => (f + r.failed, a + r.attempted),
+        None => (f + 1, a + 1),
+    });
     failed as f64 / attempted.max(1) as f64
 }
 
@@ -457,8 +472,10 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
     }
 
     let short = |c: &str| c.chars().take(12).collect::<String>();
+    let kernel_arm = tensor::kernels::arm_name();
     let mut table = format!(
-        "`ab`: parent {} (`{}`) vs change {}{}, {} pair(s) × {} s per workload\n\n\
+        "`ab`: parent {} (`{}`) vs change {}{}, kernel arm {kernel_arm}, \
+         {} pair(s) × {} s per workload\n\n\
          | workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | change/parent \
          | W/L/T | flags | failed parent / change |\n|---|---|---|---|---|---|---|---|\n",
         short(&parent_commit),
@@ -468,6 +485,13 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
         args.pairs,
         args.seconds
     );
+    let show_flags = |flags: &[&str]| {
+        if flags.is_empty() {
+            "—".to_string()
+        } else {
+            flags.join(", ")
+        }
+    };
     let mut rows = Vec::new();
     for (workload, pairs) in args.workloads.iter().zip(&runs) {
         let shares = (failure_share(pairs, 0), failure_share(pairs, 1));
@@ -477,18 +501,32 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 .iter()
                 .filter_map(|p| Some((value(p, 0)?, value(p, 1)?)))
                 .collect();
+            let failed = format!("{:.2}% / {:.2}%", shares.0 * 100.0, shares.1 * 100.0);
+            let failure_share = json!({"parent": shares.0, "change": shares.1});
             if values.is_empty() {
+                // Nothing to compare, but a crashed arm still shows.
+                let flags = if more_failures(shares) {
+                    vec!["failures"]
+                } else {
+                    Vec::new()
+                };
+                let _ = writeln!(
+                    table,
+                    "| {workload} | {} ({}) | — | — | — | 0/0/0 | {} | {failed} |",
+                    m.name,
+                    m.unit,
+                    show_flags(&flags)
+                );
+                rows.push(
+                    json!({"workload": workload.as_str(), "metric": m.name.as_str(),
+                    "pairs": 0, "failure_share": failure_share, "flags": flags}),
+                );
                 continue;
             }
             let v = verdict(m.better, m.bound, &values, shares);
-            let flags = if v.flags.is_empty() {
-                "—".to_string()
-            } else {
-                v.flags.join(", ")
-            };
             let _ = writeln!(
                 table,
-                "| {workload} | {} ({}) | {} | {} | {:.3} | {}/{}/{} | {flags} | {:.2}% / {:.2}% |",
+                "| {workload} | {} ({}) | {} | {} | {:.3} | {}/{}/{} | {} | {failed} |",
                 m.name,
                 m.unit,
                 v.parent.show(),
@@ -497,8 +535,7 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 v.wins,
                 v.losses,
                 v.ties,
-                shares.0 * 100.0,
-                shares.1 * 100.0
+                show_flags(&v.flags),
             );
             let quartiles = |q: Quartiles| json!({"q1": q.q1, "median": q.median, "q3": q.q3});
             rows.push(json!({
@@ -511,7 +548,7 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 "wins": v.wins,
                 "losses": v.losses,
                 "ties": v.ties,
-                "failure_share": {"parent": shares.0, "change": shares.1},
+                "failure_share": failure_share,
                 "flags": v.flags,
             }));
         }
@@ -519,6 +556,7 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
     let report = json!({
         "parent": {"rev": args.rev.as_str(), "commit": parent_commit},
         "change": {"commit": change_commit, "working_tree_changes": dirty},
+        "kernel_arm": kernel_arm,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "all_correct": ok,
@@ -655,21 +693,39 @@ mod tests {
         assert!(v.flags.is_empty(), "{:?}", v.flags);
     }
 
+    fn run(attempted: u64, failed: u64) -> Option<RunResult> {
+        Some(RunResult {
+            correct: failed == 0,
+            attempted,
+            failed,
+            line: Value::Null,
+        })
+    }
+
     #[test]
     fn failure_share_sums_over_the_runs_of_one_arm() {
-        let run = |attempted, failed| {
-            Some(RunResult {
-                correct: failed == 0,
-                attempted,
-                failed,
-                line: Value::Null,
-            })
-        };
         let pairs = [[run(100, 0), run(100, 1)], [run(100, 0), run(300, 1)]];
         assert_eq!(failure_share(&pairs, 0), 0.0);
         assert_eq!(failure_share(&pairs, 1), 0.005);
-        // A run that printed no result adds nothing.
-        assert_eq!(failure_share(&[[None, None]], 1), 0.0);
+        // A run that printed no result is one failed operation.
+        assert_eq!(failure_share(&[[None, None]], 1), 1.0);
+        assert_eq!(failure_share(&[], 1), 0.0);
+    }
+
+    #[test]
+    fn a_change_run_without_a_result_raises_failures() {
+        // The change's second run crashed: the pair that survives compares
+        // equal, and only the failure share tells the arms apart.
+        let pairs = [[run(100, 0), run(100, 0)], [run(100, 0), None]];
+        let shares = (failure_share(&pairs, 0), failure_share(&pairs, 1));
+        assert_eq!(shares, (0.0, 1.0 / 101.0));
+        let v = verdict(Better::Higher, 0.25, &scaled(1, 1.0), shares);
+        assert_eq!(v.flags, ["failures"]);
+        // The parent crashing instead raises nothing against the change.
+        let pairs = [[run(100, 0), run(100, 0)], [None, run(100, 0)]];
+        let shares = (failure_share(&pairs, 0), failure_share(&pairs, 1));
+        let v = verdict(Better::Higher, 0.25, &scaled(1, 1.0), shares);
+        assert!(v.flags.is_empty(), "{:?}", v.flags);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! thread count must produce *bitwise-identical* tokens — the sweep
 //! asserts that and records per-count throughput. On a single-core host
 //! the speedup is honestly ~1.0×; `hardware_threads` in the report says
-//! how many cores the numbers were measured on.
+//! how many cores the numbers were measured on, and `kernel_arm` which
+//! instruction-set arm of the matmul kernels ran them
+//! (`tensor::kernels::arm_name`).
 //!
 //! Writes `target/bench/BENCH_decode.json`:
-//! `{preset, requests, batch, max_out, hardware_threads,
+//! `{preset, requests, batch, max_out, hardware_threads, kernel_arm,
 //!   one_slot_tokens_per_sec, batched_tokens_per_sec,
 //!   batched_tokens_per_sec_4_threads, batched_over_one_slot, identical,
 //!   thread_sweep: [{threads, tokens_per_sec, identical_to_single}]}`.
@@ -73,9 +75,10 @@ fn main() {
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let kernel_arm = tensor::kernels::arm_name();
     eprintln!(
         "[decode_bench] preset={preset} requests={requests} batch={batch} max_out={max_out} \
-         hardware_threads={hardware_threads}"
+         hardware_threads={hardware_threads} kernel_arm={kernel_arm}"
     );
 
     tensor::par::set_threads(1);
@@ -144,6 +147,7 @@ fn main() {
         "batch": batch,
         "max_out": max_out,
         "hardware_threads": hardware_threads,
+        "kernel_arm": kernel_arm,
         "one_slot_tokens_per_sec": one_slot_tps,
         "batched_tokens_per_sec": batched_tps,
         "batched_tokens_per_sec_4_threads": tps_at_4,

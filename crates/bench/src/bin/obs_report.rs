@@ -8,7 +8,8 @@
 //! or the binary exits nonzero — this is the acceptance gate for the
 //! profiler staying wired into every hot path.
 //!
-//! Artifacts: `target/bench/BENCH_obs.json` (machine-readable summary),
+//! Artifacts: `target/bench/BENCH_obs.json` (machine-readable summary,
+//! naming the matmul kernels' instruction-set arm in `kernel_arm`),
 //! `target/bench/obs_events.jsonl` (the raw event log) and
 //! `target/bench/obs_trace.json` (Chrome `trace_event` export; load it
 //! at `chrome://tracing` or <https://ui.perfetto.dev>). These change on
@@ -278,6 +279,7 @@ fn run_report(
     }
     let json = serde_json::json!({
         "preset": preset.to_string(),
+        "kernel_arm": tensor::kernels::arm_name(),
         "pretrain_steps": pretrain_steps,
         "finetune_steps": steps,
         "step_span": step_path.to_string(),

@@ -109,10 +109,11 @@ fn main() {
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
+    let kernel_arm = tensor::kernels::arm_name();
     eprintln!(
         "[serve_bench] requests={requests} clients={clients} slots={slots} \
          queue_cap={queue_cap} max_out={max_out} vocab={vocab} \
-         hardware_threads={hardware_threads}"
+         hardware_threads={hardware_threads} kernel_arm={kernel_arm}"
     );
 
     // Phases 1–2: virtual-clock determinism gates.
@@ -279,6 +280,7 @@ fn main() {
         "cache_bytes": cache_bytes,
         "vocab": vocab,
         "hardware_threads": hardware_threads,
+        "kernel_arm": kernel_arm,
         "identical": identical,
         "identical_rerun": identical_rerun,
         "identical_4_threads": identical_threads,

@@ -18,25 +18,39 @@
 //!   operand tile stays hot across the outer loop, and the innermost loop
 //!   streams a contiguous row of `C`, one lane per output column.
 //! * `mm_nt` is a register tile: `MM_MR` rows by `MM_NR` columns of
-//!   `C` accumulate in `[f32; MM_NR]` arrays that the baseline x86-64
-//!   target autovectorizes, one SIMD lane per output element, against a
-//!   panel of `B` packed `[k][MM_NR]` so each lane's operand is contiguous.
+//!   `C` accumulate in `[f32; MM_NR]` arrays, one SIMD lane per output
+//!   element, against a panel of `B` packed `[k][MM_NR]` so each lane's
+//!   operand is contiguous.
 //!
 //! Blocking and tiling only regroup whole chains, so the results are
 //! bit-identical to the unblocked loops kept in this module's tests
 //! (`blocked_kernels_match_unblocked_bitwise`), which the batched-decode
 //! differential suite relies on.
 //!
+//! # Arms
+//!
+//! Each serial body is one `#[inline(always)]` function compiled three
+//! times, once per `Arm`: for the baseline target (4-lane SSE on x86-64),
+//! and on x86-64 also inside `#[target_feature(enable = "avx2")]` (8
+//! lanes) and `#[target_feature(enable = "avx512f")]` (16 lanes in the
+//! row streams of `mm_nn` and `mm_tn`; the `mm_nt` tile stays 8 wide)
+//! wrappers. The process runs the widest arm its CPU supports, detected
+//! once ([`arm_name`] names it). Lane width cannot move a bit: each lane
+//! is still one chain of separate multiplies and adds, and although
+//! `avx512f` implies the `fma` target feature, Rust emits no contraction,
+//! so a wide lane rounds every step exactly like a narrow one. The kernel
+//! suites run under every arm the host supports.
+//!
 //! On top of the serial bodies sits a fork-join dispatch layer: when
 //! `DATAVIST5_THREADS > 1` and the launch is big enough
 //! (`par::plan_workers`), the output rows are split into the contiguous
 //! ascending chunks of `par::row_chunks` and each worker runs the serial
-//! body on its own disjoint `&mut` row slice. Row splits keep every
-//! ascending-`k` reduction chain inside one worker, so multi-core results
-//! are bit-identical to single-core at any thread count — the property
-//! the `analysis::par` schedule certifier proves statically for the
-//! schedules `sched::declared_schedules` exposes (the row splits and the
-//! `mm_nt` column tiles of `mm_nt_column_tiles`), and
+//! body, on the same arm, on its own disjoint `&mut` row slice. Row splits
+//! keep every ascending-`k` reduction chain inside one worker, so
+//! multi-core results are bit-identical to single-core at any thread
+//! count — the property the `analysis::par` schedule certifier proves
+//! statically for the schedules `sched::declared_schedules` exposes (the
+//! row splits and the `mm_nt` column tiles of `mm_nt_column_tiles`), and
 //! `parallel_dispatch_matches_serial_bitwise` pins dynamically.
 
 use std::cell::Cell;
@@ -51,6 +65,122 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
     x.iter().position(|v| !v.is_finite())
 }
 
+pub(crate) use arm::{Arm, Isa};
+
+/// Which instruction set the matmul serial bodies run on.
+mod arm {
+    use std::sync::OnceLock;
+
+    /// The instruction sets the matmul serial bodies are compiled for,
+    /// narrowest first. The wide ones exist only on x86-64.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Isa {
+        /// The build target's own instructions (SSE on baseline x86-64).
+        Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Avx512f,
+    }
+
+    impl Isa {
+        pub(crate) const ALL: &'static [Isa] = &[
+            Isa::Baseline,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f,
+        ];
+
+        pub(crate) fn name(self) -> &'static str {
+            match self {
+                Isa::Baseline => "baseline",
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => "avx2",
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512f => "avx512f",
+            }
+        }
+
+        fn detected(self) -> bool {
+            match self {
+                Isa::Baseline => true,
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => std::is_x86_feature_detected!("avx2"),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512f => std::is_x86_feature_detected!("avx512f"),
+            }
+        }
+    }
+
+    /// An [`Isa`] this CPU runs. The field is private to this module and
+    /// only [`Arm::supported`] sets it, after `is_x86_feature_detected!`
+    /// held, so holding an `Arm` proves the detection.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Arm(Isa);
+
+    impl Arm {
+        pub(crate) fn isa(self) -> Isa {
+            self.0
+        }
+
+        /// The arms this CPU runs, narrowest first.
+        pub(crate) fn supported() -> impl Iterator<Item = Arm> {
+            Isa::ALL
+                .iter()
+                .filter(|isa| isa.detected())
+                .map(|&isa| Arm(isa))
+        }
+
+        /// The widest arm this CPU runs, detected once per process.
+        pub(crate) fn active() -> Arm {
+            static ACTIVE: OnceLock<Arm> = OnceLock::new();
+            *ACTIVE.get_or_init(|| Arm::supported().last().unwrap_or(Arm(Isa::Baseline)))
+        }
+    }
+}
+
+/// The arm the matmul kernels run on in this process: `"avx512f"`,
+/// `"avx2"` or `"baseline"`, the widest this CPU supports.
+pub fn arm_name() -> &'static str {
+    Arm::active().isa().name()
+}
+
+/// Defines `$serial(arm, args…)`, which runs the `#[inline(always)]` body
+/// `$body(args…)` compiled for `arm`: as is for the baseline, and inside
+/// a `#[target_feature]` wrapper for each wide arm.
+macro_rules! per_arm {
+    ($(#[$attr:meta])* fn $serial:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?);) => {
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        fn $serial(arm: Arm, $($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            fn avx2($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            fn avx512f($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            match arm.isa() {
+                Isa::Baseline => $body($($arg),*),
+                // SAFETY: an `Arm` of `Isa::Avx2` exists only after
+                // `is_x86_feature_detected!("avx2")` held (`Arm::supported`).
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => unsafe { avx2($($arg),*) },
+                // SAFETY: an `Arm` of `Isa::Avx512f` exists only after
+                // `is_x86_feature_detected!("avx512f")` held (`Arm::supported`).
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512f => unsafe { avx512f($($arg),*) },
+            }
+        }
+    };
+}
+
 /// Cache-block tile sizes: the `k`-tile keeps a `MM_KC × n` panel of `B`
 /// hot in `mm_nn`, and the `m`-tile keeps an output panel hot in `mm_tn`.
 pub const MM_KC: usize = 64;
@@ -60,7 +190,8 @@ pub const MM_IC: usize = 64;
 /// Output rows per [`mm_nt`] register tile.
 pub(crate) const MM_MR: usize = 4;
 /// Output columns per [`mm_nt`] register tile: the width of one
-/// `[f32; MM_NR]` accumulator, i.e. two SSE or one AVX register of lanes.
+/// `[f32; MM_NR]` accumulator, i.e. two SSE registers of lanes, one AVX2
+/// register or half an AVX-512 one, whichever arm runs.
 pub(crate) const MM_NR: usize = 8;
 
 /// The `[lo, hi)` column ranges [`mm_nt`] tiles `n` output columns into:
@@ -76,6 +207,21 @@ pub(crate) fn mm_nt_column_tiles(n: usize) -> impl Iterator<Item = (usize, usize
 /// `C = A·B` (or `C += A·B` when `accumulate`), with `A: [m,k]`, `B: [k,n]`,
 /// `C: [m,n]`.
 pub fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
+    mm_nn_on(Arm::active(), a, b, c, m, k, n, accumulate);
+}
+
+/// [`mm_nn`] on `arm`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mm_nn_on(
+    arm: Arm,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
     // hot-ok: shape contract at kernel entry — once per call, amortized over m*k*n work
     assert_eq!(
         a.len(),
@@ -99,17 +245,31 @@ pub fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, 
     );
     let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
-        mm_nn_serial(a, b, c, m, k, n, accumulate);
+        mm_nn_serial(arm, a, b, c, m, k, n, accumulate);
         return;
     }
     let chunks = crate::par::row_chunks(m, workers);
     crate::par::run_row_chunks("mm_nn", c, n, &chunks, |_, (lo, hi), chunk| {
-        mm_nn_serial(&a[lo * k..hi * k], b, chunk, hi - lo, k, n, accumulate);
+        mm_nn_serial(arm, &a[lo * k..hi * k], b, chunk, hi - lo, k, n, accumulate);
     });
 }
 
-/// Serial body of [`mm_nn`]; the parallel dispatch runs it per row chunk.
-fn mm_nn_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
+per_arm! {
+    /// Serial body of [`mm_nn`] on `arm`; the parallel dispatch runs it
+    /// per row chunk.
+    fn mm_nn_serial = mm_nn_body(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        acc: bool,
+    );
+}
+
+#[inline(always)]
+fn mm_nn_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
     if !acc {
         c.fill(0.0);
     }
@@ -150,6 +310,21 @@ fn mm_nn_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
 /// element, so no bit moves (with `k = 0` the result is +0.0, or
 /// `C[i,j] + 0.0`).
 pub fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
+    mm_nt_on(Arm::active(), a, b, c, m, k, n, accumulate);
+}
+
+/// [`mm_nt`] on `arm`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mm_nt_on(
+    arm: Arm,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
     // hot-ok: shape contract at kernel entry — once per call, amortized over m*k*n work
     assert_eq!(
         a.len(),
@@ -173,12 +348,12 @@ pub fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, 
     );
     let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
-        mm_nt_serial(a, b, c, m, k, n, accumulate);
+        mm_nt_serial(arm, a, b, c, m, k, n, accumulate);
         return;
     }
     let chunks = crate::par::row_chunks(m, workers);
     crate::par::run_row_chunks("mm_nt", c, n, &chunks, |_, (lo, hi), chunk| {
-        mm_nt_serial(&a[lo * k..hi * k], b, chunk, hi - lo, k, n, accumulate);
+        mm_nt_serial(arm, &a[lo * k..hi * k], b, chunk, hi - lo, k, n, accumulate);
     });
 }
 
@@ -190,16 +365,22 @@ thread_local! {
     static NT_PANEL: Cell<Vec<[f32; MM_NR]>> = const { Cell::new(Vec::new()) };
 }
 
-/// Serial body of [`mm_nt`]; the parallel dispatch runs it per row chunk.
-fn mm_nt_serial(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
+per_arm! {
+    /// Serial body of [`mm_nt`] on `arm`; the parallel dispatch runs it
+    /// per row chunk.
+    fn mm_nt_serial = mm_nt_body(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        accumulate: bool,
+    );
+}
+
+#[inline(always)]
+fn mm_nt_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
     // Every tile overwrites all `k` panel rows, so stale contents from
     // the previous call never reach a lane.
     let mut panel = NT_PANEL.with(Cell::take);
@@ -269,6 +450,21 @@ fn store_tile<const R: usize>(
 ///
 /// This is the weight-gradient orientation (`dW = Xᵀ·dY`).
 pub fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
+    mm_tn_on(Arm::active(), a, b, c, m, k, n, accumulate);
+}
+
+/// [`mm_tn`] on `arm`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mm_tn_on(
+    arm: Arm,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
     assert_eq!(
         a.len(),
         k * m,
@@ -289,22 +485,37 @@ pub fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, 
     );
     let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
-        mm_tn_serial_range(a, b, c, 0, m, m, k, n, accumulate);
+        mm_tn_serial_range(arm, a, b, c, 0, m, m, k, n, accumulate);
         return;
     }
     let chunks = crate::par::row_chunks(m, workers);
     crate::par::run_row_chunks("mm_tn", c, n, &chunks, |_, (lo, hi), chunk| {
-        mm_tn_serial_range(a, b, chunk, lo, hi, m, k, n, accumulate);
+        mm_tn_serial_range(arm, a, b, chunk, lo, hi, m, k, n, accumulate);
     });
 }
 
-/// Serial body of [`mm_tn`] over output rows `[lo, hi)` of the full
-/// `[m, n]` product, with `c` holding exactly those rows. `A` is `[k, m]`,
-/// so a row range of `C` is a *column* range of `A` — the parallel
-/// dispatch cannot sub-slice `A` the way the other orientations do, hence
-/// the explicit range parameters.
+per_arm! {
+    /// Serial body of [`mm_tn`] on `arm` over output rows `[lo, hi)` of
+    /// the full `[m, n]` product, with `c` holding exactly those rows. `A`
+    /// is `[k, m]`, so a row range of `C` is a *column* range of `A` — the
+    /// parallel dispatch cannot sub-slice `A` the way the other
+    /// orientations do, hence the explicit range parameters.
+    fn mm_tn_serial_range = mm_tn_body(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        lo: usize,
+        hi: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        acc: bool,
+    );
+}
+
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn mm_tn_serial_range(
+fn mm_tn_body(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -400,6 +611,8 @@ pub fn log_softmax_rows(data: &mut [f32], cols: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+
     use super::*;
 
     fn naive_mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -573,7 +786,32 @@ mod tests {
         }
     }
 
-    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
+    type Kernel = fn(Arm, &[f32], &[f32], &mut [f32], usize, usize, usize, bool);
+    type Reference = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
+
+    /// Runs `check` once per arm this host supports and fails naming every
+    /// arm whose run panicked, so one broken arm cannot hide or blame
+    /// another. Prints the compiled arms the host cannot run.
+    fn for_each_arm(test: &str, check: impl Fn(Arm)) {
+        let arms: Vec<Arm> = Arm::supported().collect();
+        for isa in Isa::ALL {
+            if !arms.iter().any(|arm| arm.isa() == *isa) {
+                println!(
+                    "{test}: skipping arm {} (not supported by this CPU)",
+                    isa.name()
+                );
+            }
+        }
+        // A failed run leaves nothing behind that another arm reads: the
+        // checks only read their captures.
+        let run = |arm: Arm| std::panic::catch_unwind(AssertUnwindSafe(|| check(arm)));
+        let failed: Vec<&str> = arms
+            .iter()
+            .filter(|&&arm| run(arm).is_err())
+            .map(|arm| arm.isa().name())
+            .collect();
+        assert!(failed.is_empty(), "{test}: fails on arm(s) {failed:?}");
+    }
 
     /// Bit equality, except that a NaN only has to be a NaN: its payload
     /// depends on which operand the hardware propagates.
@@ -589,22 +827,29 @@ mod tests {
         }
     }
 
-    /// Runs all three orientations, plain and accumulating into `init`,
-    /// against the unblocked reference. `a` (`m·k` values) serves as
-    /// `[m,k]` and `[k,m]`, `b` (`k·n` values) as `[k,n]` and `[n,k]`.
-    fn assert_matches_unblocked(shape: (usize, usize, usize), a: &[f32], b: &[f32], init: &[f32]) {
+    /// Runs all three orientations on `arm`, plain and accumulating into
+    /// `init`, against the unblocked reference. `a` (`m·k` values) serves
+    /// as `[m,k]` and `[k,m]`, `b` (`k·n` values) as `[k,n]` and `[n,k]`.
+    fn assert_matches_unblocked(
+        arm: Arm,
+        shape: (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+        init: &[f32],
+    ) {
         let (m, k, n) = shape;
-        let kernels: [(&str, Kernel, Kernel); 3] = [
-            ("mm_nn", mm_nn, unblocked::mm_nn),
-            ("mm_nt", mm_nt, unblocked::mm_nt),
-            ("mm_tn", mm_tn, unblocked::mm_tn),
+        let kernels: [(&str, Kernel, Reference); 3] = [
+            ("mm_nn", mm_nn_on, unblocked::mm_nn),
+            ("mm_nt", mm_nt_on, unblocked::mm_nt),
+            ("mm_tn", mm_tn_on, unblocked::mm_tn),
         ];
         for acc in [false, true] {
             for (name, kernel, reference) in kernels {
                 let (mut got, mut want) = (init.to_vec(), init.to_vec());
-                kernel(a, b, &mut got, m, k, n, acc);
+                kernel(arm, a, b, &mut got, m, k, n, acc);
                 reference(a, b, &mut want, m, k, n, acc);
-                assert_bitwise(&format!("{name} {m}x{k}x{n} acc={acc}"), &got, &want);
+                let what = format!("{} {name} {m}x{k}x{n} acc={acc}", arm.isa().name());
+                assert_bitwise(&what, &got, &want);
             }
         }
     }
@@ -650,24 +895,27 @@ mod tests {
             (65, 130, 257),
             (8, 64, 1883),
         ];
-        for &(m, k, n) in &cases {
-            let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
-            assert_matches_unblocked((m, k, n), &a, &b, &seq(m * n));
-        }
-        // Partial register tiles: every row remainder against a tile one
-        // column short of and one column past MM_NR, with an empty, a
-        // single-term and a multi-term reduction.
-        for m in 1..=9 {
-            for n in [MM_NR - 1, MM_NR + 1] {
-                for k in [0, 1, 16] {
-                    let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
-                    assert_matches_unblocked((m, k, n), &a, &b, &seq(m * n));
-                    // Signed zeros, infinities and NaN in A, B and C.
-                    let (a, b) = (special(m * k, m), special(k * n, n + 1));
-                    assert_matches_unblocked((m, k, n), &a, &b, &special(m * n, k + 2));
+        for_each_arm("blocked_kernels_match_unblocked_bitwise", |arm| {
+            for &(m, k, n) in &cases {
+                let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
+                assert_matches_unblocked(arm, (m, k, n), &a, &b, &seq(m * n));
+            }
+            // Partial register tiles: every row remainder against a tile one
+            // column short of and one column past MM_NR, with an empty, a
+            // single-term and a multi-term reduction.
+            for m in 1..=9 {
+                for n in [MM_NR - 1, MM_NR + 1] {
+                    for k in [0, 1, 16] {
+                        let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
+                        assert_matches_unblocked(arm, (m, k, n), &a, &b, &seq(m * n));
+                        // Signed zeros, infinities and NaN in A, B and C.
+                        let (a, b) = (special(m * k, m), special(k * n, n + 1));
+                        let init = special(m * n, k + 2);
+                        assert_matches_unblocked(arm, (m, k, n), &a, &b, &init);
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -675,25 +923,28 @@ mod tests {
         // A chain of -0.0 products stays +0.0 because each lane starts at
         // +0.0; with k = 0 there are no products at all, and accumulating
         // adds +0.0, which turns a -0.0 in C into +0.0 too.
-        for (m, k, n) in [(5, 3, 9), (4, 0, 8), (9, 0, 7)] {
-            let a = vec![-0.0f32; m * k];
-            let b = seq(n * k);
-            for acc in [false, true] {
-                let mut c = vec![-0.0f32; m * n];
-                mm_nt(&a, &b, &mut c, m, k, n, acc);
-                assert!(
-                    c.iter().all(|v| v.to_bits() == 0.0f32.to_bits()),
-                    "{m}x{k}x{n} acc={acc}: {c:?}"
-                );
+        for_each_arm("mm_nt_lanes_start_at_positive_zero", |arm| {
+            for (m, k, n) in [(5, 3, 9), (4, 0, 8), (9, 0, 7)] {
+                let a = vec![-0.0f32; m * k];
+                let b = seq(n * k);
+                for acc in [false, true] {
+                    let mut c = vec![-0.0f32; m * n];
+                    mm_nt_on(arm, &a, &b, &mut c, m, k, n, acc);
+                    assert!(
+                        c.iter().all(|v| v.to_bits() == 0.0f32.to_bits()),
+                        "{} {m}x{k}x{n} acc={acc}: {c:?}",
+                        arm.isa().name()
+                    );
+                }
             }
-        }
+        });
     }
 
-    /// Fork-join dispatch must be invisible in the bits: every thread
-    /// count produces the same output as the serial path, for every
-    /// orientation, with and without accumulation. (Thread config is
-    /// process-global; this test flips it, which is safe precisely
-    /// because of the property it pins.)
+    /// Fork-join dispatch must be invisible in the bits: on every arm,
+    /// every thread count produces the same output as the serial path, for
+    /// every orientation, with and without accumulation. (Thread config is
+    /// process-global; this test flips it, which is safe precisely because
+    /// of the property it pins.)
     #[test]
     fn parallel_dispatch_matches_serial_bitwise() {
         let (m, k, n) = (65, 130, 257);
@@ -708,42 +959,55 @@ mod tests {
         let at = seq(k * m);
         let bt = seq(n * k);
         let init = seq(m * n);
-        for acc in [false, true] {
-            crate::par::set_threads(1);
-            let (mut want_nn, mut want_nt, mut want_tn) =
-                (init.clone(), init.clone(), init.clone());
-            mm_nn(&a, &b, &mut want_nn, m, k, n, acc);
-            mm_nt(&a, &bt, &mut want_nt, m, k, n, acc);
-            mm_tn(&at, &b, &mut want_tn, m, k, n, acc);
-            for t in [2, 3, 4, 8] {
-                crate::par::set_threads(t);
-                let mut c = init.clone();
-                mm_nn(&a, &b, &mut c, m, k, n, acc);
-                assert!(
-                    c.iter()
-                        .zip(&want_nn)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "mm_nn diverges at {t} threads (acc={acc})"
-                );
-                let mut c = init.clone();
-                mm_nt(&a, &bt, &mut c, m, k, n, acc);
-                assert!(
-                    c.iter()
-                        .zip(&want_nt)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "mm_nt diverges at {t} threads (acc={acc})"
-                );
-                let mut c = init.clone();
-                mm_tn(&at, &b, &mut c, m, k, n, acc);
-                assert!(
-                    c.iter()
-                        .zip(&want_tn)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "mm_tn diverges at {t} threads (acc={acc})"
-                );
+        for_each_arm("parallel_dispatch_matches_serial_bitwise", |arm| {
+            let name = arm.isa().name();
+            for acc in [false, true] {
+                crate::par::set_threads(1);
+                let (mut want_nn, mut want_nt, mut want_tn) =
+                    (init.clone(), init.clone(), init.clone());
+                mm_nn_on(arm, &a, &b, &mut want_nn, m, k, n, acc);
+                mm_nt_on(arm, &a, &bt, &mut want_nt, m, k, n, acc);
+                mm_tn_on(arm, &at, &b, &mut want_tn, m, k, n, acc);
+                for t in [2, 3, 4, 8] {
+                    crate::par::set_threads(t);
+                    let mut c = init.clone();
+                    mm_nn_on(arm, &a, &b, &mut c, m, k, n, acc);
+                    assert!(
+                        c.iter()
+                            .zip(&want_nn)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{name} mm_nn diverges at {t} threads (acc={acc})"
+                    );
+                    let mut c = init.clone();
+                    mm_nt_on(arm, &a, &bt, &mut c, m, k, n, acc);
+                    assert!(
+                        c.iter()
+                            .zip(&want_nt)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{name} mm_nt diverges at {t} threads (acc={acc})"
+                    );
+                    let mut c = init.clone();
+                    mm_tn_on(arm, &at, &b, &mut c, m, k, n, acc);
+                    assert!(
+                        c.iter()
+                            .zip(&want_tn)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{name} mm_tn diverges at {t} threads (acc={acc})"
+                    );
+                }
             }
-        }
+        });
         crate::par::set_threads(1);
+    }
+
+    #[test]
+    fn the_active_arm_is_the_widest_supported() {
+        let widest = Arm::supported()
+            .last()
+            .expect("baseline is always supported");
+        assert_eq!(Arm::active(), widest);
+        assert_eq!(arm_name(), widest.isa().name());
+        assert!(["baseline", "avx2", "avx512f"].contains(&arm_name()));
     }
 
     #[test]
