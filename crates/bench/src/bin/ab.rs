@@ -37,11 +37,12 @@
 //! and stdout gets a markdown table: per arm the median and Q1–Q3, the
 //! median of the per-pair change/parent ratios, wins/losses/ties, the
 //! flags and each arm's failure share. A metric no pair has both values
-//! of gets a row with only its failure shares. Both commits are recorded
-//! with `git rev-parse`: inside a worktree the benchmark cannot read its
-//! own. So is the matmul kernels' instruction-set arm on this host
-//! (`tensor::kernels::arm_name`), which the change runs; the benchmark
-//! does not print it.
+//! of gets no row; the runs that left it out fail the exit code. Both
+//! commits are recorded with `git rev-parse`: inside a worktree the
+//! benchmark cannot read its own. The change also records the matmul
+//! kernels' instruction-set arm on this host (`tensor::kernels::arm_name`
+//! of the working tree `ab` is built from), which the benchmark does not
+//! print; the parent's code may have other arms, or none.
 //!
 //! Exits 0 when every run of both arms built, finished and printed
 //! `"correct": true`, 1 otherwise and 2 on bad arguments. Flags never
@@ -296,7 +297,7 @@ fn verdict(better: Better, bound: f64, pairs: &[(f64, f64)], failure_share: (f64
     if (spread(&parent) > bound || spread(&change) > bound) && !all_beat {
         flags.push("unresolved");
     }
-    if more_failures(failure_share) {
+    if failure_share.1 > failure_share.0 {
         flags.push("failures");
     }
     Verdict {
@@ -308,12 +309,6 @@ fn verdict(better: Better, bound: f64, pairs: &[(f64, f64)], failure_share: (f64
         ties: n - wins - losses,
         flags,
     }
-}
-
-/// The `failures` flag: the change's failure share (the second) is the
-/// larger.
-fn more_failures((parent, change): (f64, f64)) -> bool {
-    change > parent
 }
 
 /// Σfailed / Σattempted over one arm's runs, a run without a result
@@ -474,7 +469,7 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
     let short = |c: &str| c.chars().take(12).collect::<String>();
     let kernel_arm = tensor::kernels::arm_name();
     let mut table = format!(
-        "`ab`: parent {} (`{}`) vs change {}{}, kernel arm {kernel_arm}, \
+        "`ab`: parent {} (`{}`) vs change {}{}, change kernel arm {kernel_arm}, \
          {} pair(s) × {} s per workload\n\n\
          | workload | metric | parent median (Q1–Q3) | change median (Q1–Q3) | change/parent \
          | W/L/T | flags | failed parent / change |\n|---|---|---|---|---|---|---|---|\n",
@@ -485,13 +480,6 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
         args.pairs,
         args.seconds
     );
-    let show_flags = |flags: &[&str]| {
-        if flags.is_empty() {
-            "—".to_string()
-        } else {
-            flags.join(", ")
-        }
-    };
     let mut rows = Vec::new();
     for (workload, pairs) in args.workloads.iter().zip(&runs) {
         let shares = (failure_share(pairs, 0), failure_share(pairs, 1));
@@ -501,32 +489,18 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 .iter()
                 .filter_map(|p| Some((value(p, 0)?, value(p, 1)?)))
                 .collect();
-            let failed = format!("{:.2}% / {:.2}%", shares.0 * 100.0, shares.1 * 100.0);
-            let failure_share = json!({"parent": shares.0, "change": shares.1});
             if values.is_empty() {
-                // Nothing to compare, but a crashed arm still shows.
-                let flags = if more_failures(shares) {
-                    vec!["failures"]
-                } else {
-                    Vec::new()
-                };
-                let _ = writeln!(
-                    table,
-                    "| {workload} | {} ({}) | — | — | — | 0/0/0 | {} | {failed} |",
-                    m.name,
-                    m.unit,
-                    show_flags(&flags)
-                );
-                rows.push(
-                    json!({"workload": workload.as_str(), "metric": m.name.as_str(),
-                    "pairs": 0, "failure_share": failure_share, "flags": flags}),
-                );
                 continue;
             }
             let v = verdict(m.better, m.bound, &values, shares);
+            let flags = if v.flags.is_empty() {
+                "—".to_string()
+            } else {
+                v.flags.join(", ")
+            };
             let _ = writeln!(
                 table,
-                "| {workload} | {} ({}) | {} | {} | {:.3} | {}/{}/{} | {} | {failed} |",
+                "| {workload} | {} ({}) | {} | {} | {:.3} | {}/{}/{} | {flags} | {:.2}% / {:.2}% |",
                 m.name,
                 m.unit,
                 v.parent.show(),
@@ -535,7 +509,8 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 v.wins,
                 v.losses,
                 v.ties,
-                show_flags(&v.flags),
+                shares.0 * 100.0,
+                shares.1 * 100.0
             );
             let quartiles = |q: Quartiles| json!({"q1": q.q1, "median": q.median, "q3": q.q3});
             rows.push(json!({
@@ -548,15 +523,15 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
                 "wins": v.wins,
                 "losses": v.losses,
                 "ties": v.ties,
-                "failure_share": failure_share,
+                "failure_share": {"parent": shares.0, "change": shares.1},
                 "flags": v.flags,
             }));
         }
     }
     let report = json!({
         "parent": {"rev": args.rev.as_str(), "commit": parent_commit},
-        "change": {"commit": change_commit, "working_tree_changes": dirty},
-        "kernel_arm": kernel_arm,
+        "change": {"commit": change_commit, "working_tree_changes": dirty,
+            "kernel_arm": kernel_arm},
         "pairs": args.pairs,
         "seconds": args.seconds,
         "all_correct": ok,

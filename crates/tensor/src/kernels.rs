@@ -1001,16 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn the_active_arm_is_the_widest_supported() {
-        let widest = Arm::supported()
-            .last()
-            .expect("baseline is always supported");
-        assert_eq!(Arm::active(), widest);
-        assert_eq!(arm_name(), widest.isa().name());
-        assert!(["baseline", "avx2", "avx512f"].contains(&arm_name()));
-    }
-
-    #[test]
     fn gather_scatter_rows_roundtrip() {
         let src = seq(5 * 3);
         let ids = [4usize, 0, 2];
