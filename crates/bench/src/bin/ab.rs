@@ -37,7 +37,12 @@
 //! and stdout gets a markdown table: per arm the median and Q1–Q3, the
 //! median of the per-pair change/parent ratios, wins/losses/ties, the
 //! flags and each arm's failure share. A metric no pair has both values
-//! of gets no row; the runs that left it out fail the exit code. Both
+//! of gets no row; the runs that left it out fail the exit code. Under
+//! the table, one line per workload gives each arm's median `attempted`
+//! operations per run and their ratio: every run has the same window, so
+//! a faster arm completes more work in it, and a metric that grows with
+//! work done (`peak_rss_mb` is a high-water mark) can then flag against
+//! it without any change in cost per operation. Both
 //! commits are recorded with `git rev-parse`: inside a worktree the
 //! benchmark cannot read its own. The change also records the matmul
 //! kernels' instruction-set arm on this host (`tensor::kernels::arm_name`
@@ -321,6 +326,26 @@ fn failure_share(pairs: &[Pair], arm: usize) -> f64 {
     failed as f64 / attempted.max(1) as f64
 }
 
+/// The line under the table for one workload: each arm's median
+/// `attempted` per run and the change/parent ratio, or `None` when an arm
+/// has no result.
+fn attempted_line(workload: &str, pairs: &[Pair]) -> Option<String> {
+    let median = |arm: usize| {
+        let runs: Vec<f64> = pairs
+            .iter()
+            .filter_map(|p| Some(p[arm].as_ref()?.attempted as f64))
+            .collect();
+        (!runs.is_empty()).then(|| Quartiles::of(runs.into_iter()).median)
+    };
+    let (parent, change) = (median(0)?, median(1)?);
+    Some(format!(
+        "{workload}: median attempted per run, parent {} / change {} = {:.3}",
+        sig(parent),
+        sig(change),
+        change / parent
+    ))
+}
+
 /// Four significant digits.
 fn sig(x: f64) -> String {
     let decimals = 3 - x.abs().max(1e-6).log10().floor() as i32;
@@ -528,6 +553,12 @@ fn run(root: &Path, spec: &Spec, args: &Args, parent_commit: String) -> Result<b
             }));
         }
     }
+    table.push('\n');
+    for (workload, pairs) in args.workloads.iter().zip(&runs) {
+        if let Some(line) = attempted_line(workload, pairs) {
+            let _ = writeln!(table, "- {line}");
+        }
+    }
     let report = json!({
         "parent": {"rev": args.rev.as_str(), "commit": parent_commit},
         "change": {"commit": change_commit, "working_tree_changes": dirty,
@@ -701,6 +732,21 @@ mod tests {
         let shares = (failure_share(&pairs, 0), failure_share(&pairs, 1));
         let v = verdict(Better::Higher, 0.25, &scaled(1, 1.0), shares);
         assert!(v.flags.is_empty(), "{:?}", v.flags);
+    }
+
+    #[test]
+    fn attempted_line_gives_each_arms_median_work_and_their_ratio() {
+        let pairs = [
+            [run(100, 0), run(130, 0)],
+            [run(120, 0), run(150, 1)],
+            [run(110, 0), None],
+        ];
+        assert_eq!(
+            attempted_line("serve-short", &pairs).as_deref(),
+            Some("serve-short: median attempted per run, parent 110.0 / change 140.0 = 1.273")
+        );
+        // An arm with no result at all gives no line.
+        assert_eq!(attempted_line("finetune", &[[run(100, 0), None]]), None);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!    <reason>` annotations allowlist audited sites; a reason-less
 //!    annotation is itself a finding (P000) and a stale one is P009.
 //! 2. **Schedule certification** — every `ReductionSchedule` the kernels
-//!    declare (the row split of each matmul orientation and the `mm_nt`
-//!    register tile's column split, over a sweep of launch shapes ×
-//!    worker counts) is replayed symbolically against the canonical
-//!    reduction orders in `analysis::order`. A schedule that is not
-//!    bit-equivalent to the sequential fold is P010.
+//!    declare (the row split and the register tile's column split of each
+//!    matmul orientation, over a sweep of launch shapes × worker counts)
+//!    is replayed symbolically against the canonical reduction orders in
+//!    `analysis::order`. A schedule that is not bit-equivalent to the
+//!    sequential fold is P010.
 //!
 //! Writes `target/bench/BENCH_par_audit.json` and exits nonzero on
 //! any unsuppressed finding — `ci.sh` runs this as a gate.
@@ -77,8 +77,8 @@ fn main() {
     }
     println!(
         "{certified}/{} declared schedules certified bit-equivalent to sequential \
-         ({} shapes x {} worker counts x 4 schedules: the row split of each of 3 \
-         orientations and the mm_nt register tile)",
+         ({} shapes x {} worker counts x 6 schedules: the row split and the \
+         register tile's column split of each of 3 orientations)",
         results.len(),
         SHAPES.len(),
         WORKER_COUNTS.len()

@@ -14,16 +14,22 @@
 //! so every step rounds exactly like the scalar loop. What the kernels
 //! are free to change is *which* independent elements run together:
 //!
-//! * `mm_nn` and `mm_tn` are cache-blocked (`MM_KC`, `MM_IC`): one
-//!   operand tile stays hot across the outer loop, and the innermost loop
-//!   streams a contiguous row of `C`, one lane per output column.
+//! * `mm_nn` and `mm_tn` share one register tile: `MM_MR` rows by
+//!   `MM_NC` (32) columns of `C` stay in registers, one SIMD lane per
+//!   output element, for the whole `k` sweep, reading rows of `B` and
+//!   `C` in place. The columns split as `mm_column_tiles` says: 32 wide,
+//!   one 16-wide tile for a remainder of 16–31 columns, and a narrower
+//!   tail one column at a time. The two orientations differ only in where
+//!   `A(i,p)` lives (`a[i·k+p]` or `a[p·m+i]`), and both keep the
+//!   unblocked loops' exact-zero skip per row: a lane adds nothing when
+//!   its row's `A(i,p)` is ±0.0.
 //! * `mm_nt` is a register tile: `MM_MR` rows by `MM_NR` columns of
 //!   `C` accumulate in `[f32; MM_NR]` arrays, one SIMD lane per output
 //!   element, against a panel of `B` packed `[k][MM_NR]` so each lane's
 //!   operand is contiguous.
 //!
-//! Blocking and tiling only regroup whole chains, so the results are
-//! bit-identical to the unblocked loops kept in this module's tests
+//! Tiling only regroups whole chains, so the results are bit-identical to
+//! the unblocked loops kept in this module's tests
 //! (`blocked_kernels_match_unblocked_bitwise`), which the batched-decode
 //! differential suite relies on.
 //!
@@ -32,14 +38,16 @@
 //! Each serial body is one `#[inline(always)]` function compiled three
 //! times, once per `Arm`: for the baseline target (4-lane SSE on x86-64),
 //! and on x86-64 also inside `#[target_feature(enable = "avx2")]` (8
-//! lanes) and `#[target_feature(enable = "avx512f")]` (16 lanes in the
-//! row streams of `mm_nn` and `mm_tn`; the `mm_nt` tile stays 8 wide)
-//! wrappers. The process runs the widest arm its CPU supports, detected
-//! once ([`arm_name`] names it). Lane width cannot move a bit: each lane
-//! is still one chain of separate multiplies and adds, and although
-//! `avx512f` implies the `fma` target feature, Rust emits no contraction,
-//! so a wide lane rounds every step exactly like a narrow one. The kernel
-//! suites run under every arm the host supports.
+//! lanes) and `#[target_feature(enable = "avx512f")]` (16 lanes)
+//! wrappers. Every arm runs the same tile shapes: a row of the 4×32
+//! tile is eight SSE, four AVX2 or two AVX-512 registers, and a row of
+//! the 4×8 `mm_nt` tile is two SSE registers, one AVX2 register or half
+//! an AVX-512 one. The process runs the widest arm its CPU supports,
+//! detected once ([`arm_name`] names it). Lane width cannot move a bit:
+//! each lane is still one chain of separate multiplies and adds, and
+//! although `avx512f` implies the `fma` target feature, Rust emits no
+//! contraction, so a wide lane rounds every step exactly like a narrow
+//! one. The kernel suites run under every arm the host supports.
 //!
 //! On top of the serial bodies sits a fork-join dispatch layer: when
 //! `DATAVIST5_THREADS > 1` and the launch is big enough
@@ -50,8 +58,9 @@
 //! multi-core results are bit-identical to single-core at any thread
 //! count — the property the `analysis::par` schedule certifier proves
 //! statically for the schedules `sched::declared_schedules` exposes (the
-//! row splits and the `mm_nt` column tiles of `mm_nt_column_tiles`), and
-//! `parallel_dispatch_matches_serial_bitwise` pins dynamically.
+//! row splits, and the column tiles of `mm_column_tiles` and
+//! `mm_nt_column_tiles`), and `parallel_dispatch_matches_serial_bitwise`
+//! pins dynamically.
 
 use std::cell::Cell;
 
@@ -181,18 +190,33 @@ macro_rules! per_arm {
     };
 }
 
-/// Cache-block tile sizes: the `k`-tile keeps a `MM_KC × n` panel of `B`
-/// hot in `mm_nn`, and the `m`-tile keeps an output panel hot in `mm_tn`.
-pub const MM_KC: usize = 64;
-/// `m`-dimension tile for [`mm_tn`] (see [`MM_KC`]).
-pub const MM_IC: usize = 64;
-
-/// Output rows per [`mm_nt`] register tile.
+/// Output rows per register tile, in every orientation.
 pub(crate) const MM_MR: usize = 4;
 /// Output columns per [`mm_nt`] register tile: the width of one
 /// `[f32; MM_NR]` accumulator, i.e. two SSE registers of lanes, one AVX2
 /// register or half an AVX-512 one, whichever arm runs.
 pub(crate) const MM_NR: usize = 8;
+/// Output columns per [`mm_nn`] / [`mm_tn`] register tile: a row of the
+/// tile is eight SSE, four AVX2 or two AVX-512 registers of lanes.
+pub(crate) const MM_NC: usize = 32;
+/// The narrow [`mm_nn`] / [`mm_tn`] tile, for the last 16–31 columns.
+const MM_NC_NARROW: usize = MM_NC / 2;
+
+/// The `[lo, hi)` column ranges [`mm_nn`] and [`mm_tn`] tile `n` output
+/// columns into: ascending and contiguous, [`MM_NC`] wide, then one
+/// `MM_NC / 2` wide if at least that many columns remain, then the
+/// narrower rest, which they run one column at a time. The kernels
+/// iterate exactly these, and `sched::declared_schedules` collects them
+/// into the tiles' certified schedules.
+pub(crate) fn mm_column_tiles(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let wide = n - n % MM_NC;
+    let narrow = wide + (n - wide) / MM_NC_NARROW * MM_NC_NARROW;
+    let tiles =
+        |lo: usize, hi: usize, width: usize| (lo..hi).step_by(width).map(move |j| (j, j + width));
+    tiles(0, wide, MM_NC)
+        .chain(tiles(wide, narrow, MM_NC_NARROW))
+        .chain((narrow < n).then_some((narrow, n)))
+}
 
 /// The `[lo, hi)` column ranges [`mm_nt`] tiles `n` output columns into:
 /// ascending, contiguous, [`MM_NR`] wide with a narrower last tile. The
@@ -206,14 +230,24 @@ pub(crate) fn mm_nt_column_tiles(n: usize) -> impl Iterator<Item = (usize, usize
 
 /// `C = A·B` (or `C += A·B` when `accumulate`), with `A: [m,k]`, `B: [k,n]`,
 /// `C: [m,n]`.
+///
+/// It runs as a 4×32 register tile (`MM_MR`×`MM_NC`) over the column
+/// ranges of `mm_column_tiles`, reading rows of `B` and `C` in place.
+/// Each lane owns one `C[i,j]`: it starts at the old value (or +0.0),
+/// adds `a[i,p]·b[p,j]` for ascending `p` with a separate multiply and
+/// add, and skips every `p` whose `a[i,p]` is exactly zero — the same
+/// chain as the unblocked loop, so a zero meeting an infinite or NaN
+/// `b[p,j]`, or a −0.0 in `C`, keeps its bits.
 pub fn mm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
-    mm_nn_on(Arm::active(), a, b, c, m, k, n, accumulate);
+    let workers = crate::par::plan_workers(m, m * k * n);
+    mm_nn_on(Arm::active(), workers, a, b, c, m, k, n, accumulate);
 }
 
-/// [`mm_nn`] on `arm`.
+/// [`mm_nn`] on `arm`, forking `workers` row chunks (1 runs serially).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mm_nn_on(
     arm: Arm,
+    workers: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -243,25 +277,48 @@ pub(crate) fn mm_nn_on(
         "mm_nn: C has {} elements, want m*n = {m}*{n}",
         c.len()
     );
-    let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
-        mm_nn_serial(arm, a, b, c, m, k, n, accumulate);
+        let a = Strided { a, row: k, col: 1 };
+        mm_tiled_serial(arm, a, b, c, m, k, n, accumulate);
         return;
     }
     let chunks = crate::par::row_chunks(m, workers);
     crate::par::run_row_chunks("mm_nn", c, n, &chunks, |_, (lo, hi), chunk| {
-        mm_nn_serial(arm, &a[lo * k..hi * k], b, chunk, hi - lo, k, n, accumulate);
+        let a = Strided {
+            a: &a[lo * k..hi * k],
+            row: k,
+            col: 1,
+        };
+        mm_tiled_serial(arm, a, b, chunk, hi - lo, k, n, accumulate);
     });
 }
 
+/// The `A` operand of [`mm_nn`] or [`mm_tn`] as the shared tile reads it:
+/// `A(i, p)` is `a[i·row + p·col]`, so `[m, k]` row-major for `mm_nn`
+/// (`row = k`, `col = 1`) and `[k, m]` for `mm_tn` (`row = 1`, `col = m`).
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    a: &'a [f32],
+    row: usize,
+    col: usize,
+}
+
+impl Strided<'_> {
+    #[inline(always)]
+    fn at(&self, i: usize, p: usize) -> f32 {
+        self.a[i * self.row + p * self.col]
+    }
+}
+
 per_arm! {
-    /// Serial body of [`mm_nn`] on `arm`; the parallel dispatch runs it
-    /// per row chunk.
-    fn mm_nn_serial = mm_nn_body(
-        a: &[f32],
+    /// Serial body of [`mm_nn`] and [`mm_tn`] on `arm`: `C = A·B` (or
+    /// `C += A·B` when `acc`) over `rows` rows of `C`, `A` read through
+    /// `a`. The parallel dispatch runs it per row chunk.
+    fn mm_tiled_serial = mm_tiled_body(
+        a: Strided<'_>,
         b: &[f32],
         c: &mut [f32],
-        m: usize,
+        rows: usize,
         k: usize,
         n: usize,
         acc: bool,
@@ -269,33 +326,116 @@ per_arm! {
 }
 
 #[inline(always)]
-fn mm_nn_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
-    if !acc {
-        c.fill(0.0);
-    }
-    // k-blocked: the `[p0..p1, n]` panel of B is reused by every row of A
-    // before moving on. Per C[i,j] the p-contributions stay in ascending
-    // order (blocks ascend, p ascends within a block), so the sum is
-    // bit-identical to the unblocked loop.
-    let mut p0 = 0;
-    while p0 < k {
-        let p1 = (p0 + MM_KC).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k + p0..i * k + p1];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (off, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let p = p0 + off;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *cv += av * bv;
+fn mm_tiled_body(
+    a: Strided<'_>,
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+    acc: bool,
+) {
+    for (j0, j1) in mm_column_tiles(n) {
+        // `B` is empty when k = 0 and `C` when rows = 0; no tile reads
+        // them then.
+        let b = b.get(j0..).unwrap_or_default();
+        let c = c.get_mut(j0..).unwrap_or_default();
+        match j1 - j0 {
+            MM_NC => column_tile::<MM_NC>(a, b, c, n, rows, k, acc),
+            MM_NC_NARROW => column_tile::<MM_NC_NARROW>(a, b, c, n, rows, k, acc),
+            // A tail narrower than the narrow tile runs one column at a
+            // time: only small test models and LoRA ranks have one, no
+            // benchmark workload.
+            tail => {
+                for j in 0..tail {
+                    let (b, c) = (
+                        b.get(j..).unwrap_or_default(),
+                        c.get_mut(j..).unwrap_or_default(),
+                    );
+                    column_tile::<1>(a, b, c, n, rows, k, acc);
                 }
             }
         }
-        p0 = p1;
     }
+}
+
+/// Every row of one column tile, in register tiles of [`MM_MR`] rows and
+/// then of one. `b` and `c` are `B` and `C` from the tile's first column
+/// on, both `n` floats per row. Lane `l` of tile row `r` owns `C[i0 + r,
+/// l]`: it starts at the old value (`acc`) or +0.0, then for ascending `p`
+/// adds `A(i0 + r, p) · B(p, l)` with a separate multiply and add, adding
+/// nothing when `A(i0 + r, p)` is exactly zero — the unblocked loop's
+/// chain.
+#[inline(always)]
+fn column_tile<const W: usize>(
+    a: Strided<'_>,
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    rows: usize,
+    k: usize,
+    acc: bool,
+) {
+    let b_row = |p: usize| &b[p * n..p * n + W];
+    let mut i0 = 0;
+    while i0 + MM_MR <= rows {
+        // Named rows rather than a loop over them: a loop over an
+        // `[[f32; W]; MM_MR]` was left in memory and run as scalar code,
+        // while named rows stay in vector registers across the `k` sweep.
+        let at = |r: usize| (i0 + r) * n;
+        let mut r0 = load_row::<W>(c, at(0), acc);
+        let mut r1 = load_row::<W>(c, at(1), acc);
+        let mut r2 = load_row::<W>(c, at(2), acc);
+        let mut r3 = load_row::<W>(c, at(3), acc);
+        for p in 0..k {
+            let bp = b_row(p);
+            add_products(&mut r0, a.at(i0, p), bp);
+            add_products(&mut r1, a.at(i0 + 1, p), bp);
+            add_products(&mut r2, a.at(i0 + 2, p), bp);
+            add_products(&mut r3, a.at(i0 + 3, p), bp);
+        }
+        store_row(c, at(0), &r0);
+        store_row(c, at(1), &r1);
+        store_row(c, at(2), &r2);
+        store_row(c, at(3), &r3);
+        i0 += MM_MR;
+    }
+    for i in i0..rows {
+        let mut r0 = load_row::<W>(c, i * n, acc);
+        for p in 0..k {
+            add_products(&mut r0, a.at(i, p), b_row(p));
+        }
+        store_row(c, i * n, &r0);
+    }
+}
+
+/// One step of a tile row's chains: `lanes[l] += av · bp[l]`, or nothing
+/// when `av` is exactly zero.
+#[inline(always)]
+fn add_products<const W: usize>(lanes: &mut [f32; W], av: f32, bp: &[f32]) {
+    if av == 0.0 {
+        return;
+    }
+    for (lane, &bv) in lanes.iter_mut().zip(bp) {
+        *lane += av * bv;
+    }
+}
+
+/// The starting lanes of a tile row: the `W` floats of `c` at `at` when
+/// `acc`, else +0.0.
+#[inline(always)]
+fn load_row<const W: usize>(c: &[f32], at: usize, acc: bool) -> [f32; W] {
+    let mut lanes = [0.0; W];
+    if acc {
+        lanes.copy_from_slice(&c[at..at + W]);
+    }
+    lanes
+}
+
+/// Writes a tile row's lanes back to the `W` floats of `c` at `at`.
+#[inline(always)]
+fn store_row<const W: usize>(c: &mut [f32], at: usize, lanes: &[f32; W]) {
+    c[at..at + W].copy_from_slice(lanes);
 }
 
 /// `C = A·Bᵀ` (or `+=`), with `A: [m,k]`, `B: [n,k]`, `C: [m,n]`.
@@ -310,13 +450,15 @@ fn mm_nn_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize,
 /// element, so no bit moves (with `k = 0` the result is +0.0, or
 /// `C[i,j] + 0.0`).
 pub fn mm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
-    mm_nt_on(Arm::active(), a, b, c, m, k, n, accumulate);
+    let workers = crate::par::plan_workers(m, m * k * n);
+    mm_nt_on(Arm::active(), workers, a, b, c, m, k, n, accumulate);
 }
 
-/// [`mm_nt`] on `arm`.
+/// [`mm_nt`] on `arm`, forking `workers` row chunks (1 runs serially).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mm_nt_on(
     arm: Arm,
+    workers: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -346,7 +488,6 @@ pub(crate) fn mm_nt_on(
         "mm_nt: C has {} elements, want m*n = {m}*{n}",
         c.len()
     );
-    let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
         mm_nt_serial(arm, a, b, c, m, k, n, accumulate);
         return;
@@ -448,15 +589,18 @@ fn store_tile<const R: usize>(
 
 /// `C = Aᵀ·B` (or `+=`), with `A: [k,m]`, `B: [k,n]`, `C: [m,n]`.
 ///
-/// This is the weight-gradient orientation (`dW = Xᵀ·dY`).
+/// This is the weight-gradient orientation (`dW = Xᵀ·dY`). It runs the
+/// same register tile as [`mm_nn`], reading `A(i, p)` from `a[p·m + i]`.
 pub fn mm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, accumulate: bool) {
-    mm_tn_on(Arm::active(), a, b, c, m, k, n, accumulate);
+    let workers = crate::par::plan_workers(m, m * k * n);
+    mm_tn_on(Arm::active(), workers, a, b, c, m, k, n, accumulate);
 }
 
-/// [`mm_tn`] on `arm`.
+/// [`mm_tn`] on `arm`, forking `workers` row chunks (1 runs serially).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mm_tn_on(
     arm: Arm,
+    workers: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -483,75 +627,22 @@ pub(crate) fn mm_tn_on(
         "mm_tn: C has {} elements, want m*n = {m}*{n}",
         c.len()
     );
-    let workers = crate::par::plan_workers(m, m * k * n);
     if workers <= 1 {
-        mm_tn_serial_range(arm, a, b, c, 0, m, m, k, n, accumulate);
+        let a = Strided { a, row: 1, col: m };
+        mm_tiled_serial(arm, a, b, c, m, k, n, accumulate);
         return;
     }
+    // `A` is `[k, m]`, so a row range of `C` is a column range of `A`:
+    // starting the view at column `lo` keeps `A(i, p)` at `a[i + p·m]`.
     let chunks = crate::par::row_chunks(m, workers);
     crate::par::run_row_chunks("mm_tn", c, n, &chunks, |_, (lo, hi), chunk| {
-        mm_tn_serial_range(arm, a, b, chunk, lo, hi, m, k, n, accumulate);
+        let a = Strided {
+            a: &a[lo..],
+            row: 1,
+            col: m,
+        };
+        mm_tiled_serial(arm, a, b, chunk, hi - lo, k, n, accumulate);
     });
-}
-
-per_arm! {
-    /// Serial body of [`mm_tn`] on `arm` over output rows `[lo, hi)` of
-    /// the full `[m, n]` product, with `c` holding exactly those rows. `A`
-    /// is `[k, m]`, so a row range of `C` is a *column* range of `A` — the
-    /// parallel dispatch cannot sub-slice `A` the way the other
-    /// orientations do, hence the explicit range parameters.
-    fn mm_tn_serial_range = mm_tn_body(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        lo: usize,
-        hi: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-        acc: bool,
-    );
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn mm_tn_body(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    lo: usize,
-    hi: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    acc: bool,
-) {
-    if !acc {
-        c.fill(0.0);
-    }
-    // m-blocked: the `[i0..i1, n]` panel of C stays hot across the full
-    // k-sweep. Per C[i,j] the p-contributions remain in ascending order,
-    // so the sum is bit-identical to the unblocked loop. (Block starts
-    // shift with `lo`, but i-blocking only reorders independent rows.)
-    let mut i0 = lo;
-    while i0 < hi {
-        let i1 = (i0 + MM_IC).min(hi);
-        for p in 0..k {
-            let a_row = &a[p * m + i0..p * m + i1];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (off, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let i = i0 + off - lo;
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                    *cv += av * bv;
-                }
-            }
-        }
-        i0 = i1;
-    }
 }
 
 /// Copies rows `ids` of a row-major `[rows, d]` source into `dst`
@@ -786,7 +877,7 @@ mod tests {
         }
     }
 
-    type Kernel = fn(Arm, &[f32], &[f32], &mut [f32], usize, usize, usize, bool);
+    type Kernel = fn(Arm, usize, &[f32], &[f32], &mut [f32], usize, usize, usize, bool);
     type Reference = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
 
     /// Runs `check` once per arm this host supports and fails naming every
@@ -846,7 +937,7 @@ mod tests {
         for acc in [false, true] {
             for (name, kernel, reference) in kernels {
                 let (mut got, mut want) = (init.to_vec(), init.to_vec());
-                kernel(arm, a, b, &mut got, m, k, n, acc);
+                kernel(arm, 1, a, b, &mut got, m, k, n, acc);
                 reference(a, b, &mut want, m, k, n, acc);
                 let what = format!("{} {name} {m}x{k}x{n} acc={acc}", arm.isa().name());
                 assert_bitwise(&what, &got, &want);
@@ -882,12 +973,57 @@ mod tests {
         v
     }
 
+    /// `A` and `B` for the two inputs where a multiply-add without the
+    /// zero-skip of `mm_nn` and `mm_tn` gives other bits: 0·±Inf and 0·NaN
+    /// are NaN, and −0.0 + 0·b is +0.0. `B(p, j)` is ±Inf or NaN at even
+    /// `p` and even `j`, finite and non-zero elsewhere. `A(i, p)` is an
+    /// exact zero (of either sign) at every even `p` and in every third
+    /// row, read as `[m,k]` (`mm_nn`) and as `[k,m]` (`mm_tn`) alike. So
+    /// with the skip both orientations give finite results, and
+    /// accumulating over −0.0 keeps it in the all-zero rows.
+    fn zeros_over_nonfinite(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let finite = |x: usize| 1.0 + (x as f32 * 0.37).sin() * 0.5;
+        let zero_at = |i: usize, p: usize| i.is_multiple_of(3) || p.is_multiple_of(2);
+        let a: Vec<f32> = (0..m * k)
+            .map(|idx| {
+                if !zero_at(idx / k, idx % k) && !zero_at(idx % m, idx / m) {
+                    finite(idx)
+                } else if idx.is_multiple_of(2) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect();
+        let nonfinite = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let b: Vec<f32> = (0..k * n)
+            .map(|idx| match (idx / n, idx % n) {
+                (p, j) if p.is_multiple_of(2) && j.is_multiple_of(2) => {
+                    nonfinite[(p / 2 + j / 2) % 3]
+                }
+                _ => finite(idx + 1),
+            })
+            .collect();
+        for (name, reference) in [
+            ("mm_nn", unblocked::mm_nn as Reference),
+            ("mm_tn", unblocked::mm_tn),
+        ] {
+            let mut want = vec![-0.0; m * n];
+            reference(&a, &b, &mut want, m, k, n, true);
+            assert!(
+                want.iter().all(|v| v.is_finite()),
+                "{name} {m}x{k}x{n}: {want:?}"
+            );
+        }
+        (a, b)
+    }
+
     #[test]
     fn blocked_kernels_match_unblocked_bitwise() {
-        // Sizes straddle the cache blocks (MM_KC = 64, MM_IC = 64) and the
-        // mm_nt register tile (MM_MR = 4, MM_NR = 8); (8, 64, 1883) is the
-        // decode step's tied-embedding logits. Data includes exact zeros to
-        // exercise the skip path.
+        // Sizes straddle the register tiles (MM_MR = 4 rows; MM_NR = 8
+        // columns for mm_nt, MM_NC = 32 and its 16-wide half for mm_nn and
+        // mm_tn); (8, 64, 1883) is the decode step's tied-embedding logits.
+        // Data includes exact zeros to exercise the skip path.
         let cases = [
             (1, 1, 1),
             (3, 63, 5),
@@ -900,11 +1036,14 @@ mod tests {
                 let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
                 assert_matches_unblocked(arm, (m, k, n), &a, &b, &seq(m * n));
             }
-            // Partial register tiles: every row remainder against a tile one
-            // column short of and one column past MM_NR, with an empty, a
-            // single-term and a multi-term reduction.
+            // Partial register tiles: every row remainder against each
+            // column edge of the tiles (mm_nt's MM_NR ± 1; for mm_nn and
+            // mm_tn a tail alone, the narrow tile alone and with a
+            // one-column tail, the wide tile with a tail, and the wide
+            // tile with a narrow one), with an empty, a single-term and a
+            // multi-term reduction.
             for m in 1..=9 {
-                for n in [MM_NR - 1, MM_NR + 1] {
+                for n in [7, 9, 15, 16, 17, 31, 32, 33, 48] {
                     for k in [0, 1, 16] {
                         let (a, b) = (seq_with_zeros(m * k, 7), seq_with_zeros(k * n, 11));
                         assert_matches_unblocked(arm, (m, k, n), &a, &b, &seq(m * n));
@@ -912,6 +1051,8 @@ mod tests {
                         let (a, b) = (special(m * k, m), special(k * n, n + 1));
                         let init = special(m * n, k + 2);
                         assert_matches_unblocked(arm, (m, k, n), &a, &b, &init);
+                        let (a, b) = zeros_over_nonfinite(m, k, n);
+                        assert_matches_unblocked(arm, (m, k, n), &a, &b, &vec![-0.0; m * n]);
                     }
                 }
             }
@@ -929,7 +1070,7 @@ mod tests {
                 let b = seq(n * k);
                 for acc in [false, true] {
                     let mut c = vec![-0.0f32; m * n];
-                    mm_nt_on(arm, &a, &b, &mut c, m, k, n, acc);
+                    mm_nt_on(arm, 1, &a, &b, &mut c, m, k, n, acc);
                     assert!(
                         c.iter().all(|v| v.to_bits() == 0.0f32.to_bits()),
                         "{} {m}x{k}x{n} acc={acc}: {c:?}",
@@ -941,10 +1082,10 @@ mod tests {
     }
 
     /// Fork-join dispatch must be invisible in the bits: on every arm,
-    /// every thread count produces the same output as the serial path, for
-    /// every orientation, with and without accumulation. (Thread config is
-    /// process-global; this test flips it, which is safe precisely because
-    /// of the property it pins.)
+    /// every worker count produces the same output as the serial path,
+    /// for every orientation, with and without accumulation. The counts
+    /// are passed explicitly, so they fork whatever `par::PAR_MIN_ELEMS`
+    /// and the configured thread count are.
     #[test]
     fn parallel_dispatch_matches_serial_bitwise() {
         let (m, k, n) = (65, 130, 257);
@@ -962,42 +1103,39 @@ mod tests {
         for_each_arm("parallel_dispatch_matches_serial_bitwise", |arm| {
             let name = arm.isa().name();
             for acc in [false, true] {
-                crate::par::set_threads(1);
                 let (mut want_nn, mut want_nt, mut want_tn) =
                     (init.clone(), init.clone(), init.clone());
-                mm_nn_on(arm, &a, &b, &mut want_nn, m, k, n, acc);
-                mm_nt_on(arm, &a, &bt, &mut want_nt, m, k, n, acc);
-                mm_tn_on(arm, &at, &b, &mut want_tn, m, k, n, acc);
+                mm_nn_on(arm, 1, &a, &b, &mut want_nn, m, k, n, acc);
+                mm_nt_on(arm, 1, &a, &bt, &mut want_nt, m, k, n, acc);
+                mm_tn_on(arm, 1, &at, &b, &mut want_tn, m, k, n, acc);
                 for t in [2, 3, 4, 8] {
-                    crate::par::set_threads(t);
                     let mut c = init.clone();
-                    mm_nn_on(arm, &a, &b, &mut c, m, k, n, acc);
+                    mm_nn_on(arm, t, &a, &b, &mut c, m, k, n, acc);
                     assert!(
                         c.iter()
                             .zip(&want_nn)
                             .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "{name} mm_nn diverges at {t} threads (acc={acc})"
+                        "{name} mm_nn diverges at {t} workers (acc={acc})"
                     );
                     let mut c = init.clone();
-                    mm_nt_on(arm, &a, &bt, &mut c, m, k, n, acc);
+                    mm_nt_on(arm, t, &a, &bt, &mut c, m, k, n, acc);
                     assert!(
                         c.iter()
                             .zip(&want_nt)
                             .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "{name} mm_nt diverges at {t} threads (acc={acc})"
+                        "{name} mm_nt diverges at {t} workers (acc={acc})"
                     );
                     let mut c = init.clone();
-                    mm_tn_on(arm, &at, &b, &mut c, m, k, n, acc);
+                    mm_tn_on(arm, t, &at, &b, &mut c, m, k, n, acc);
                     assert!(
                         c.iter()
                             .zip(&want_tn)
                             .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "{name} mm_tn diverges at {t} threads (acc={acc})"
+                        "{name} mm_tn diverges at {t} workers (acc={acc})"
                     );
                 }
             }
         });
-        crate::par::set_threads(1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! orientations accumulates along `k` *within one output element*, and an
 //! output row is owned by exactly one worker. Splitting `m` therefore
 //! reorders only independent elements, never the contributions inside one
-//! sum — the same argument the cache-blocked kernels already rely on.
+//! sum — the same argument the register tiles already rely on.
 //! Splitting `k` would chop reduction chains across workers and is
 //! rejected by the certifier (see `analysis::par`).
 //!
@@ -30,13 +30,19 @@ pub use obs::Phase;
 pub const MAX_THREADS: usize = 8;
 
 /// Minimum `m·k·n` multiply-accumulates **per forked worker**. The
-/// executor spawns OS threads per kernel call (tens of microseconds of
-/// spawn/join each), so every worker must own enough arithmetic to
-/// amortize its own fork. On the `avx512f` kernel arm, 256K MACs take
-/// 15–62 µs across the three orientations (best of 7×200 calls at
-/// 64×64×64, 16×128×128 and 256×32×32 on a 2-vCPU x86-64 VM; 26–63 µs
-/// on the baseline arm). That is about one fork's cost, so at this
-/// floor a fork roughly breaks even rather than clearly paying.
+/// executor spawns OS threads per kernel call, so every worker must own
+/// enough arithmetic to amortize its own fork. On a 2-vCPU x86-64 VM, one
+/// `std::thread::scope` spawn and join of an empty worker took 19–20 µs
+/// (best of rounds of 200; 22–23 µs at the median round), and 256K MACs
+/// took 6.5–10 µs on the `avx512f` kernel arm (best of 9×200 calls of
+/// each orientation at 64×64×64, 16×128×128 and 256×32×32; 7.6–12 µs on
+/// `avx2`, 15–18 µs on `baseline`). The floor is eight times that, 2M
+/// MACs: 52–82 µs on `avx512f`, at least 2.2 median spawn/joins of work
+/// per worker, and more on the narrower arms. On the same VM under
+/// heavier load, spawn/joins and kernel calls both took about twice as
+/// long. End to end on the same VM at `DATAVIST5_THREADS=2`, this floor
+/// beat 256K MACs in five of five alternating pairs of the `finetune` and
+/// `serve-short` benchmark workloads (medians ×1.18 and ×1.24).
 ///
 /// This floor being *per worker* (not a single total-work threshold) is
 /// what fixes the decode-time parallelism collapse: a decode-step GEMM
@@ -45,7 +51,7 @@ pub const MAX_THREADS: usize = 8;
 /// at 1 thread. Now such kernels stay sequential, and the worker count
 /// scales smoothly with kernel size: `elems / PAR_MIN_ELEMS` workers,
 /// capped by the configured thread count and the row count.
-pub const PAR_MIN_ELEMS: usize = 262_144;
+pub const PAR_MIN_ELEMS: usize = 2_097_152;
 
 /// Configured worker count; 0 means "not yet read from the environment".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -123,11 +129,15 @@ impl Drop for PhaseGuard {
 /// configured maximum — the thread sweep stays monotone instead of
 /// collapsing on spawn overhead.
 pub fn plan_workers(rows: usize, elems: usize) -> usize {
-    let t = threads();
-    if t <= 1 || rows < 2 {
+    workers_for(threads(), rows, elems)
+}
+
+/// [`plan_workers`] at `threads` configured workers.
+fn workers_for(threads: usize, rows: usize, elems: usize) -> usize {
+    if threads <= 1 || rows < 2 {
         return 1;
     }
-    t.min(rows).min((elems / PAR_MIN_ELEMS).max(1))
+    threads.min(rows).min((elems / PAR_MIN_ELEMS).max(1))
 }
 
 /// Splits `rows` into `workers` contiguous ascending `[lo, hi)` chunks,
@@ -266,32 +276,33 @@ mod tests {
         }
     }
 
+    /// The planner's core takes the thread count as an argument, so this
+    /// test never writes the process-global count that other tests read.
     #[test]
     fn plan_workers_gives_every_fork_a_full_floor_of_work() {
-        set_threads(4);
-        assert_eq!(plan_workers(64, PAR_MIN_ELEMS * 4), 4, "work for all");
+        assert_eq!(workers_for(4, 64, PAR_MIN_ELEMS * 4), 4, "work for all");
         assert_eq!(
-            plan_workers(64, PAR_MIN_ELEMS * 2),
+            workers_for(4, 64, PAR_MIN_ELEMS * 2),
             2,
             "scales down so each worker still owns PAR_MIN_ELEMS"
         );
         assert_eq!(
-            plan_workers(64, PAR_MIN_ELEMS * 2 - 1),
+            workers_for(4, 64, PAR_MIN_ELEMS * 2 - 1),
             1,
             "cannot feed two workers -> sequential"
         );
-        assert_eq!(plan_workers(64, PAR_MIN_ELEMS - 1), 1, "tiny kernel");
+        assert_eq!(workers_for(4, 64, PAR_MIN_ELEMS - 1), 1, "tiny kernel");
         assert_eq!(
-            plan_workers(64, 8 * 64 * 64),
+            workers_for(4, 64, 8 * 64 * 64),
             1,
             "a decode-step GEMM stays sequential (the old 4-thread collapse)"
         );
-        assert_eq!(plan_workers(1, PAR_MIN_ELEMS * 10), 1, "single row");
-        assert_eq!(plan_workers(3, PAR_MIN_ELEMS * 10), 3, "capped by rows");
-        set_threads(1);
-        assert_eq!(plan_workers(64, PAR_MIN_ELEMS * 10), 1, "threads=1");
+        assert_eq!(workers_for(4, 1, PAR_MIN_ELEMS * 10), 1, "single row");
+        assert_eq!(workers_for(4, 3, PAR_MIN_ELEMS * 10), 3, "capped by rows");
+        assert_eq!(workers_for(1, 64, PAR_MIN_ELEMS * 10), 1, "threads=1");
     }
 
+    /// The only test in this crate that writes the process-global count.
     #[test]
     fn set_threads_clamps() {
         set_threads(0);

@@ -7,9 +7,10 @@
 //! (`crate::par::run_row_chunks`) implements precisely this shape, and
 //! [`declared_schedules`] builds the descriptors from the *same*
 //! `row_chunks` planner the executor uses — so what gets certified is
-//! what runs. The `mm_nt` register tile is declared the same way: its
-//! column chunks come from `kernels::mm_nt_column_tiles`, the iterator
-//! the kernel itself walks, with one SIMD lane group per chunk.
+//! what runs. The register tiles are declared the same way: their column
+//! chunks come from the iterators the kernels themselves walk
+//! (`kernels::mm_nt_column_tiles` for `mm_nt`, `kernels::mm_column_tiles`
+//! for `mm_nn` and `mm_tn`), with one SIMD lane group per chunk.
 //!
 //! For a fork-join row split the "join" is trivial (workers write
 //! disjoint rows; joining is just thread join, in worker order), but the
@@ -26,9 +27,8 @@ use crate::{kernels, par};
 pub enum SplitAxis {
     /// Output rows — each worker owns whole reduction chains. Safe.
     M,
-    /// Output columns — also owns whole chains. The `mm_nt` register
-    /// tile splits this way: each `MM_NR`-wide chunk is one group of
-    /// SIMD lanes.
+    /// Output columns — also owns whole chains. The register tiles split
+    /// this way: each column chunk is one group of SIMD lanes.
     N,
     /// The contraction axis — chops reduction chains into partial sums
     /// that must be re-combined; only a left-comb join over ascending
@@ -117,36 +117,31 @@ impl ReductionSchedule {
 /// `(m, k, n)` launch at `workers` threads: every orientation splits
 /// output rows (`M`) into the planner's contiguous ascending chunks and
 /// joins along the left spine in worker order, and inside each worker
-/// `mm_nt` splits output columns (`N`) into its register tile's lane
-/// groups.
+/// every orientation splits output columns (`N`) into its register
+/// tile's lane groups.
 pub fn declared_schedules(m: usize, k: usize, n: usize, workers: usize) -> Vec<ReductionSchedule> {
-    let chunks = par::row_chunks(m, workers);
-    let join = JoinTree::left_spine(chunks.len());
-    let mut schedules: Vec<ReductionSchedule> = [
+    const KERNELS: [(&str, MmOrient); 3] = [
         ("mm_nn", MmOrient::Nn),
         ("mm_nt", MmOrient::Nt),
         ("mm_tn", MmOrient::Tn),
-    ]
-    .into_iter()
-    .map(|(kernel, orient)| ReductionSchedule {
-        kernel,
-        orient,
-        shape: (m, k, n),
-        split: SplitAxis::M,
-        chunks: chunks.clone(),
-        join: join.clone(),
-    })
-    .collect();
-    let tiles: Vec<(usize, usize)> = kernels::mm_nt_column_tiles(n).collect();
-    schedules.push(ReductionSchedule {
-        kernel: "mm_nt",
-        orient: MmOrient::Nt,
-        shape: (m, k, n),
-        split: SplitAxis::N,
-        join: JoinTree::left_spine(tiles.len()),
-        chunks: tiles,
-    });
-    schedules
+    ];
+    let schedule =
+        |(kernel, orient): (&'static str, MmOrient), split, chunks: Vec<_>| ReductionSchedule {
+            kernel,
+            orient,
+            shape: (m, k, n),
+            split,
+            join: JoinTree::left_spine(chunks.len()),
+            chunks,
+        };
+    let rows = par::row_chunks(m, workers);
+    let columns = |orient| match orient {
+        MmOrient::Nt => kernels::mm_nt_column_tiles(n).collect(),
+        MmOrient::Nn | MmOrient::Tn => kernels::mm_column_tiles(n).collect(),
+    };
+    let row_splits = KERNELS.map(|kernel| schedule(kernel, SplitAxis::M, rows.clone()));
+    let column_tiles = KERNELS.map(|kernel| schedule(kernel, SplitAxis::N, columns(kernel.1)));
+    row_splits.into_iter().chain(column_tiles).collect()
 }
 
 #[cfg(test)]
@@ -167,8 +162,8 @@ mod tests {
     #[test]
     fn declared_schedules_cover_all_orientations_and_tile_m() {
         let scheds = declared_schedules(65, 130, 257, 4);
-        assert_eq!(scheds.len(), 4);
-        let (rows, tile) = scheds.split_at(3);
+        assert_eq!(scheds.len(), 6);
+        let (rows, tiles) = scheds.split_at(3);
         for s in rows {
             assert_eq!(s.split, SplitAxis::M);
             assert_eq!(s.axis_len(), 65);
@@ -176,17 +171,34 @@ mod tests {
             assert_eq!(s.chunks.last().unwrap().1, 65);
             assert_eq!(s.join.leaves().len(), s.chunks.len());
         }
+        for s in tiles {
+            assert_eq!(s.split, SplitAxis::N);
+            assert_eq!(s.axis_len(), 257);
+            assert_eq!(s.join.leaves().len(), s.chunks.len());
+        }
+        let kernels: Vec<&str> = tiles.iter().map(|s| s.kernel).collect();
+        assert_eq!(kernels, ["mm_nn", "mm_nt", "mm_tn"]);
         // The mm_nt register tile: MM_NR-wide column chunks over n = 257,
         // the last one a single column.
-        let tile = &tile[0];
-        assert_eq!((tile.kernel, tile.split), ("mm_nt", SplitAxis::N));
-        assert_eq!(tile.axis_len(), 257);
-        assert_eq!(tile.chunks.len(), 257usize.div_ceil(kernels::MM_NR));
-        assert!(tile.chunks[..32]
+        let nt = &tiles[1];
+        assert_eq!(nt.chunks.len(), 257usize.div_ceil(kernels::MM_NR));
+        assert!(nt.chunks[..32]
             .iter()
             .all(|&(lo, hi)| hi - lo == kernels::MM_NR));
-        assert_eq!(tile.chunks.last(), Some(&(256, 257)));
-        assert_eq!(tile.join.leaves().len(), tile.chunks.len());
+        assert_eq!(nt.chunks.last(), Some(&(256, 257)));
+        // The mm_nn / mm_tn tile: eight MM_NC-wide chunks, then a single
+        // column; 16–31 remaining columns take one narrow chunk first.
+        for s in [&tiles[0], &tiles[2]] {
+            assert_eq!(s.chunks.len(), 9);
+            assert!(s.chunks[..8]
+                .iter()
+                .all(|&(lo, hi)| hi - lo == kernels::MM_NC));
+            assert_eq!(s.chunks.last(), Some(&(256, 257)));
+        }
+        let narrow = declared_schedules(3, 8, 49, 1);
+        assert_eq!(narrow[3].chunks, [(0, 32), (32, 48), (48, 49)]);
+        let exact = declared_schedules(3, 8, 16, 1);
+        assert_eq!(exact[5].chunks, [(0, 16)]);
     }
 
     #[test]
