@@ -28,9 +28,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== kernel arms as compiled: kernel, tape-oracle and batched-differential suites (release profile) =="
+echo "== kernel arms as compiled: kernel, tape-oracle, batched-, cache-differential and decode-integration suites (release profile) =="
 cargo test --release -p tensor --lib -q
-cargo test --release -p nn --test tape_oracle --test batched_differential -q
+cargo test --release -p nn --test tape_oracle --test batched_differential \
+  --test cache_differential --test decode_integration -q
 
 echo "== determinism audit: source lints + tape reduction orders =="
 cargo run --release -p bench --bin det_audit -- --out target/BENCH_det_audit.json

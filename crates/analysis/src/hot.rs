@@ -75,7 +75,12 @@ pub const HOT_MANIFEST: &[HotFile] = &[
     },
     HotFile {
         file: "crates/nn/src/batch.rs",
-        tick_fns: &["step_packed_into", "linear_packed"],
+        tick_fns: &[
+            "step_packed_into",
+            "linear_packed",
+            "attend_row",
+            "push_key_column",
+        ],
     },
     HotFile {
         file: "crates/nn/src/decode.rs",
@@ -87,7 +92,17 @@ pub const HOT_MANIFEST: &[HotFile] = &[
     },
     HotFile {
         file: "crates/tensor/src/kernels.rs",
-        tick_fns: &["mm_nn", "mm_nn_on", "mm_nt", "mm_nt_on", "softmax_rows"],
+        tick_fns: &[
+            "mm_nn",
+            "mm_nn_on",
+            "mm_nt",
+            "mm_nt_on",
+            "attend_scores",
+            "attend_scores_on",
+            "attend_context",
+            "attend_context_on",
+            "softmax_rows",
+        ],
     },
 ];
 

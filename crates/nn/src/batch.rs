@@ -20,12 +20,24 @@
 //! suites use the tape as their reference. This works because the
 //! packed matmuls process rows independently (`tensor::kernels` docs),
 //! every row-wise op (`rms_norm`, softmax, ReLU, residual adds) is applied
-//! with the same accumulation order as the tape ops, and the per-slot
-//! attention loops below mirror the kernel loops the tape path runs —
-//! including the exact-zero skip in `mm_nn` and the
-//! multiply-by-reciprocal in `softmax_rows`. The tape's causally masked
-//! positions add exact zeros, so its rows do not depend on how far the
-//! forced input runs.
+//! with the same accumulation order as the tape ops, and each slot's
+//! attention runs the decode kernels `kernels::attend_scores` and
+//! `kernels::attend_context`, whose lanes keep the chains of the tape's
+//! `mm_nt` scores and `mm_nn` context — including the exact-zero skip in
+//! `mm_nn` — around the tape's own `softmax_rows`. The tape's causally
+//! masked positions add exact zeros, so its rows do not depend on how far
+//! the forced input runs.
+//!
+//! # Layouts
+//!
+//! The score kernel's lanes run over keys, so every key cache is stored
+//! transposed, `[d, ·]`: a slot's cross-attention keys as `[d, src_len]`
+//! (transposed once at admission; the prefix cache stores them that way),
+//! and its self-attention keys per layer as `[d, capacity]`, one column
+//! filled per step. Values stay `[rows, d]`. The tied embedding is packed
+//! once per engine as `[d, vocab]`, so the logits run on `mm_nn`'s
+//! register tile instead of re-packing the table into `mm_nt` panels
+//! every step.
 //!
 //! # Continuous batching
 //!
@@ -111,10 +123,13 @@ impl CrossKv {
 
 /// One resident request: per-layer KV caches plus the decode position.
 struct Slot {
-    /// Per-decoder-layer cached cross-attention keys/values `[ts, d]`.
+    /// Per-decoder-layer cached cross-attention keys, transposed to
+    /// `[d, ts]`, and values `[ts, d]`.
     cross: CrossKv,
-    /// Per-decoder-layer growing self-attention keys/values `[t, d]`.
+    /// Per-decoder-layer self-attention keys, transposed: `[d, capacity]`
+    /// with columns `0..t` live (see [`push_key_column`]).
     self_k: Vec<Tensor>,
+    /// Per-decoder-layer growing self-attention values `[t, d]`.
     self_v: Vec<Tensor>,
     /// Source length (cross-attention K/V rows).
     src_len: usize,
@@ -146,6 +161,10 @@ pub enum SlotEvent {
 pub struct BatchedDecodeState<'m> {
     model: &'m T5Model,
     ps: &'m ParamSet,
+    /// The tied embedding packed once as `[d, vocab]`, the `B` of the
+    /// logits' `mm_nn`. `ps` is borrowed immutably for the engine's life,
+    /// so the copy cannot go stale.
+    logits_table: Vec<f32>,
     slots: Vec<Option<Slot>>,
     scratch: Scratch,
     events: Vec<SlotEvent>,
@@ -193,9 +212,11 @@ impl<'m> BatchedDecodeState<'m> {
     /// Creates an engine with `capacity` empty slots.
     pub fn new(model: &'m T5Model, ps: &'m ParamSet, capacity: usize) -> Self {
         assert!(capacity > 0, "batch capacity must be positive");
+        let (vocab, d) = (model.cfg.vocab, model.cfg.d_model);
         Self {
             model,
             ps,
+            logits_table: transpose(ps.value(model.emb.table).data(), vocab, d),
             slots: (0..capacity).map(|_| None).collect(),
             scratch: Scratch::default(),
             events: Vec::new(),
@@ -205,18 +226,21 @@ impl<'m> BatchedDecodeState<'m> {
     }
 
     /// Hints the maximum decode steps any one request will take, so each
-    /// admission pre-reserves that many self-attention KV rows per layer
-    /// and the per-step [`Tensor::push_row`] appends never reallocate.
-    /// The attention-score scratch (whose length tracks the growing KV
-    /// depth) is reserved up front for the same reason; [`admit`]
-    /// reserves it for the cross-attention depth of each source. Applies
-    /// to subsequent admissions; purely a capacity hint — decoded bits are
-    /// identical with or without it.
+    /// admission lays out that many self-attention KV rows per layer: the
+    /// transposed keys as `[d, max_steps]`, whose columns fill one per
+    /// step, and the values as reserved rows for [`Tensor::push_row`].
+    /// Then no step reallocates. A request that outruns its reservation
+    /// (or runs without one) re-lays its keys out at twice the capacity
+    /// when they fill. The attention-score scratch (`[heads, tk]`, which
+    /// tracks the growing KV depth) is reserved up front for the same
+    /// reason; [`admit`] reserves it for the cross-attention depth of each
+    /// source. Applies to subsequent admissions; purely a capacity hint —
+    /// decoded bits are identical with or without it.
     ///
     /// [`admit`]: Self::admit
     pub fn reserve_steps(&mut self, max_steps: usize) {
         self.kv_reserve = max_steps;
-        reserve_len(&mut self.scratch.scores, max_steps);
+        reserve_len(&mut self.scratch.scores, self.model.cfg.heads * max_steps);
     }
 
     /// [`new`](Self::new) with a cross-request prefix cache attached:
@@ -318,15 +342,16 @@ impl<'m> BatchedDecodeState<'m> {
                 }
             },
         };
-        // Cross-attention scores one row per source token; reserving here
-        // keeps the first step after a longer source from growing them.
-        reserve_len(&mut self.scratch.scores, src.len());
+        // Cross-attention scores one row per head of one column per source
+        // token; reserving here keeps the first step after a longer source
+        // from growing them.
+        reserve_len(&mut self.scratch.scores, model.cfg.heads * src.len());
         let layers = model.dec.len();
         let d = model.cfg.d_model;
         self.slots[idx] = Some(Slot {
             cross,
             self_k: (0..layers)
-                .map(|_| Tensor::empty_rows(d, self.kv_reserve))
+                .map(|_| Tensor::zeros(vec![d, self.kv_reserve]))
                 .collect(),
             self_v: (0..layers)
                 .map(|_| Tensor::empty_rows(d, self.kv_reserve))
@@ -437,21 +462,19 @@ impl<'m> BatchedDecodeState<'m> {
         self.slots[idx].as_ref().expect("empty slot")
     }
 
-    /// Resident KV-cache footprint in bytes: every cache tensor of every
-    /// live slot at four bytes per scalar (retired slots keep poisoned
-    /// tensors resident but no live request owns them).
+    /// Resident KV-cache footprint in bytes: every live K/V element of
+    /// every live slot at four bytes per scalar — the self-attention keys'
+    /// spare capacity does not count (retired slots keep poisoned tensors
+    /// resident but no live request owns them).
     pub fn cache_bytes(&self) -> usize {
+        let d = self.model.cfg.d_model;
         self.slots
             .iter()
             .flatten()
             .filter(|s| s.live)
             .map(|s| {
-                s.cross.bytes()
-                    + s.self_k
-                        .iter()
-                        .chain(s.self_v.iter())
-                        .map(|t| t.numel() * 4)
-                        .sum::<usize>()
+                let self_v: usize = s.self_v.iter().map(Tensor::numel).sum();
+                s.cross.bytes() + (s.self_k.len() * s.t * d + self_v) * 4
             })
             .sum()
     }
@@ -471,6 +494,15 @@ impl<'m> BatchedDecodeState<'m> {
     /// Requests may sit at different positions (ragged batching); each
     /// attends over exactly its own caches. Listing a slot twice, listing a
     /// retired/empty slot, or passing no requests panics.
+    ///
+    /// The logits run `mm_nn` over the packed `[d, vocab]` table where the
+    /// tape runs `mm_nt` over `[vocab, d]`. `mm_nn` skips an activation
+    /// that is exactly zero and `mm_nt` adds its product, which changes no
+    /// bit while the table is finite: the product is ±0.0, and a chain
+    /// that starts at +0.0 never holds −0.0. The one exception is a
+    /// non-finite embedding weight under a zero activation, where `mm_nt`
+    /// gives NaN and this step does not
+    /// (`packed_logits_table_matches_mm_nt_on_finite_tables` pins both).
     ///
     /// [`reserve_steps`]: Self::reserve_steps
     pub fn step_packed_into(&mut self, active: &[(usize, u32)], out: &mut Vec<Vec<f32>>) {
@@ -563,7 +595,7 @@ impl<'m> BatchedDecodeState<'m> {
                 let pos = slot.t;
                 // hot-ok: l < dec.len() by loop construction
                 let (k_cache, v_cache) = (&mut slot.self_k[l], &mut slot.self_v[l]);
-                k_cache.push_row(&scratch.k_new[row * d..(row + 1) * d]);
+                push_key_column(k_cache, pos, &scratch.k_new[row * d..(row + 1) * d]);
                 v_cache.push_row(&scratch.v_new[row * d..(row + 1) * d]);
                 attend_row(
                     &scratch.q[row * d..(row + 1) * d],
@@ -647,14 +679,14 @@ impl<'m> BatchedDecodeState<'m> {
         }
 
         rms_norm_packed(ps, &m.dec_final, &scratch.x, d, &mut scratch.normed);
-        // Tied-embedding logits: one [n, d] × [vocab, d]ᵀ matmul for the
-        // whole batch, scaled like `T5Model::logits`.
+        // Tied-embedding logits: one [n, d] × [d, vocab] matmul over the
+        // packed table for the whole batch, scaled like `T5Model::logits`.
         let vocab = m.cfg.vocab;
         scratch.logits.clear();
         scratch.logits.resize(n * vocab, 0.0);
-        kernels::mm_nt(
+        kernels::mm_nn(
             &scratch.normed,
-            table.data(),
+            &self.logits_table,
             &mut scratch.logits,
             n,
             d,
@@ -695,25 +727,33 @@ impl<'m> BatchedDecodeState<'m> {
             let layers = m.dec.len() as u64;
             let ff = m.cfg.d_ff as u64;
             let v64 = vocab as u64;
+            // Summed over the rows: the self-attention keys each attended
+            // (this token's included, as the positions are now advanced)
+            // and the source rows of its cross-attention.
+            let (kv_rows, src_rows) = active.iter().fold((0u64, 0u64), |(kv, src), &(s, _)| {
+                let slot = self.slot(s);
+                (kv + slot.t as u64, src + slot.src_len as u64)
+            });
             // Bytes: weight matrices streamed once per section plus the
-            // packed activations; FLOPs: the dominant matmuls (four d×d
-            // projections per self-attn, two per cross-attn — its K/V
-            // were projected at admission — two d×ff for the FFN, one
-            // d×vocab for logits).
+            // packed activations; FLOPs: the matmuls (four d×d projections
+            // per self-attn, two per cross-attn — its K/V were projected at
+            // admission — two d×ff for the FFN, one d×vocab for logits)
+            // and the attention products, 2·d per key for the scores and
+            // again for the context.
             record_kernel("batch.embed", Forward, t_embed, 8 * rows * d64, 0);
             record_kernel(
                 "batch.self_attn",
                 Forward,
                 t_self,
                 (16 * d64 * d64 + 16 * rows * d64) * layers,
-                8 * rows * d64 * d64 * layers,
+                (8 * rows * d64 * d64 + 4 * kv_rows * d64) * layers,
             );
             record_kernel(
                 "batch.cross_attn",
                 Forward,
                 t_cross,
                 (8 * d64 * d64 + 16 * rows * d64) * layers,
-                4 * rows * d64 * d64 * layers,
+                (4 * rows * d64 * d64 + 4 * src_rows * d64) * layers,
             );
             record_kernel(
                 "batch.ff",
@@ -818,71 +858,101 @@ fn add_assign(x: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Single-query multi-head attention of `q` (`[d]`) over `[tk, d]` caches,
-/// writing the head-concatenated context into `ctx` (`[d]`).
+/// Single-query multi-head attention of `q` (`[d]`) over keys transposed
+/// to `[d, stride]` and values `[tk, d]` (`tk` is the values' row count;
+/// key columns past it are spare capacity), writing the head-concatenated
+/// context into `ctx` (`[d]`).
 ///
-/// Mirrors the tape attention of `T5Model::decode_all` per head: ascending-`k`
-/// score dots (the `mm_nt` register accumulation), scale by `dh^-0.5`,
-/// optional relative-position bias, `softmax_rows`, then an ascending-`t`
-/// probability-weighted sum with the `mm_nn` exact-zero skip.
+/// Mirrors the tape attention of `T5Model::decode_all`: the scores of
+/// [`kernels::attend_scores`] (each the ascending-`k` chain of one `mm_nt`
+/// element, then the `dh^-0.5` scale), the optional relative-position
+/// bias, `softmax_rows` per head, and the context of
+/// [`kernels::attend_context`] (each the ascending-`t` chain of one
+/// `mm_nn` element, with its exact-zero skip). `scores` becomes `[heads,
+/// tk]`.
 fn attend_row(
     q: &[f32],
-    k_cache: &Tensor,
-    v_cache: &Tensor,
+    k_t: &Tensor,
+    v: &Tensor,
     bias: Option<(&RelPosBias, &ParamSet, usize)>,
     dh: usize,
     scores: &mut Vec<f32>,
     ctx: &mut [f32],
 ) {
-    let tk = k_cache.shape()[0];
-    let d = k_cache.shape()[1];
-    let heads = d / dh;
-    let k = k_cache.data();
-    let v = v_cache.data();
-    let factor = 1.0 / (dh as f32).sqrt();
-    for h in 0..heads {
-        let q_h = &q[h * dh..(h + 1) * dh];
-        scores.clear();
-        scores.resize(tk, 0.0);
-        for (t, s) in scores.iter_mut().enumerate() {
-            let k_row = &k[t * d + h * dh..t * d + (h + 1) * dh];
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in q_h.iter().zip(k_row.iter()) {
-                acc += qv * kv;
-            }
-            *s = acc;
-        }
-        for s in scores.iter_mut() {
-            *s *= factor;
-        }
-        if let Some((b, ps, pos)) = bias {
-            let table = ps.value(b.table).data();
-            for (t, s) in scores.iter_mut().enumerate() {
-                let bucket = b.bucket(t as i64 - pos as i64);
-                *s += table[bucket * heads + h];
+    let (tk, stride) = (v.shape()[0], k_t.shape()[1]);
+    let heads = q.len() / dh;
+    scores.clear();
+    scores.resize(heads * tk, 0.0);
+    let scale = 1.0 / (dh as f32).sqrt();
+    kernels::attend_scores(q, k_t.data(), stride, tk, dh, scale, scores);
+    if let Some((b, ps, pos)) = bias {
+        // Bucket rows of the table are `heads` wide: key t's bias for head
+        // h is row bucket(t - pos), column h.
+        let table = ps.value(b.table).data();
+        for t in 0..tk {
+            let bucket = b.bucket(t as i64 - pos as i64);
+            let row = table.chunks_exact(heads).nth(bucket).unwrap_or_default();
+            for (head, &bias) in scores.chunks_exact_mut(tk).zip(row) {
+                if let Some(s) = head.get_mut(t) {
+                    *s += bias;
+                }
             }
         }
-        kernels::softmax_rows(scores, tk);
-        let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
-        for (t, &p) in scores.iter().enumerate() {
-            if p == 0.0 {
-                continue;
+    }
+    kernels::softmax_rows(scores, tk);
+    kernels::attend_context(scores, v.data(), tk, dh, ctx);
+}
+
+/// Writes decoder token `t`'s key (`[d]`) into column `t` of one layer's
+/// transposed self-attention keys (`[d, capacity]`, columns `0..t`
+/// live). A full tensor is first re-laid out at twice the capacity (at
+/// least 16 columns), its live columns copied; inside the capacity
+/// [`reserve_steps`] set, no step reallocates.
+///
+/// [`reserve_steps`]: BatchedDecodeState::reserve_steps
+fn push_key_column(k_t: &mut Tensor, t: usize, key: &[f32]) {
+    let cap = k_t.shape()[1];
+    if t >= cap {
+        let grown_cap = (2 * t).max(16);
+        // hot-ok: warm-up only — runs past reserve_steps' capacity only; the serve engine reserves max_out (zero_alloc counts 0) and tape_oracle pins the bits across a regrowth
+        let mut grown = Tensor::zeros(vec![key.len(), grown_cap]);
+        if cap > 0 {
+            let rows = grown.data_mut().chunks_exact_mut(grown_cap);
+            for (new_row, old_row) in rows.zip(k_t.data().chunks_exact(cap)) {
+                new_row[..cap].copy_from_slice(old_row);
             }
-            let v_row = &v[t * d + h * dh..t * d + (h + 1) * dh];
-            for (c, &vv) in ctx_h.iter_mut().zip(v_row.iter()) {
-                *c += p * vv;
-            }
+        }
+        *k_t = grown;
+    }
+    let cap = k_t.shape()[1];
+    for (row, &kv) in k_t.data_mut().chunks_exact_mut(cap).zip(key) {
+        if let Some(slot) = row.get_mut(t) {
+            *slot = kv;
         }
     }
 }
 
+/// `x` (`[rows, cols]`, row-major) transposed to `[cols, rows]`.
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0; x.len()];
+    for (r, row) in x.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
+}
+
 /// Runs the encoder over `src` and projects its output to every decoder
-/// layer's cross-attention keys and values — the only encoder-derived
-/// state a decode slot reads, and the payload the prefix cache stores.
+/// layer's cross-attention keys (transposed to `[d, src_len]`, as the
+/// score kernel reads them) and values (`[src_len, d]`) — the only
+/// encoder-derived state a decode slot reads, and the payload the prefix
+/// cache stores.
 fn encode_cross_kv(model: &T5Model, ps: &ParamSet, src: &[u32]) -> PrefixKv {
     let mut g = Graph::new();
     let src: Vec<usize> = src.iter().map(|&t| t as usize).collect();
     let enc_out = model.encode(&mut g, ps, &src, false);
+    let d = model.cfg.d_model;
     let mut kv = PrefixKv {
         cross_k: Vec::with_capacity(model.dec.len()),
         cross_v: Vec::with_capacity(model.dec.len()),
@@ -890,7 +960,8 @@ fn encode_cross_kv(model: &T5Model, ps: &ParamSet, src: &[u32]) -> PrefixKv {
     for block in &model.dec {
         let k = block.cross_attn.wk.forward(&mut g, ps, enc_out);
         let v = block.cross_attn.wv.forward(&mut g, ps, enc_out);
-        kv.cross_k.push(g.value(k).clone());
+        let k_t = transpose(g.value(k).data(), src.len(), d);
+        kv.cross_k.push(Tensor::from_vec(vec![d, src.len()], k_t));
         kv.cross_v.push(g.value(v).clone());
     }
     kv

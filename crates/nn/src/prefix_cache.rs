@@ -69,8 +69,11 @@ pub fn prefix_hash(tokens: &[u32]) -> u64 {
 }
 
 /// The encoder-derived state one decode slot needs: per-decoder-layer
-/// cross-attention keys and values (`[src_len, d_model]` each), exactly
-/// as `BatchedDecodeState::admit` computes them on a cache miss.
+/// cross-attention keys, transposed to `[d_model, src_len]` as the
+/// decoder's score kernel reads them, and values (`[src_len, d_model]`),
+/// exactly as `BatchedDecodeState::admit` computes them on a cache miss.
+/// The transpose moves no byte count: each tensor holds `src_len ·
+/// d_model` scalars either way.
 #[derive(Debug, Clone)]
 pub struct PrefixKv {
     pub cross_k: Vec<Tensor>,
@@ -86,20 +89,22 @@ impl PrefixKv {
     /// stay meaningful without running a model.
     pub fn synthetic(src: &[u32], layers: usize, d_model: usize) -> PrefixKv {
         let h = prefix_hash(src);
-        let fill = |salt: u64| {
-            let rows = src.len();
-            let data: Vec<f32> = (0..rows * d_model)
+        let fill = |salt: u64, shape: [usize; 2]| {
+            let data: Vec<f32> = (0..src.len() * d_model)
                 .map(|i| {
                     let mix = h ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i as u64);
                     // Small exact-in-f32 integers: bit-stable everywhere.
                     (mix % 251) as f32 - 125.0
                 })
                 .collect();
-            Tensor::from_vec(vec![rows, d_model], data)
+            Tensor::from_vec(shape.to_vec(), data)
         };
+        let (keys, values) = ([d_model, src.len()], [src.len(), d_model]);
         PrefixKv {
-            cross_k: (0..layers).map(|l| fill(2 * l as u64)).collect(),
-            cross_v: (0..layers).map(|l| fill(2 * l as u64 + 1)).collect(),
+            cross_k: (0..layers).map(|l| fill(2 * l as u64, keys)).collect(),
+            cross_v: (0..layers)
+                .map(|l| fill(2 * l as u64 + 1, values))
+                .collect(),
         }
     }
 

@@ -7,7 +7,10 @@
 //! positional modes, LoRA adapters with non-zero `lora_b`, tiny and Base
 //! shapes, and ragged sources (3–41 tokens) admitted at staggered steps
 //! so one packed step mixes decode positions, every logit row the engine
-//! emits must equal the tape's row for the same prefix in every bit.
+//! emits must equal the tape's row for the same prefix in every bit. A
+//! second sweep covers the key layouts' edges: 1- and 128-token sources,
+//! a decode past 96 self-attention rows, and self keys that outgrow their
+//! reservation mid-request.
 
 mod common;
 
@@ -115,56 +118,103 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Drives `reqs` through one engine — request r joins at step 3r and
+/// leaves after its own step count, so packed steps mix positions and
+/// shrink as requests finish — with `reserve` self-attention rows
+/// reserved per slot (`None`: no reservation), and checks every logit row
+/// against the tape's row for the same prefix.
+fn assert_engine_matches_tape(
+    m: &T5Model,
+    ps: &ParamSet,
+    reqs: &[Request],
+    reserve: Option<usize>,
+    what: &str,
+) {
+    let tape: Vec<Vec<Vec<f32>>> = reqs
+        .iter()
+        .map(|r| forced_logits(m, ps, &r.src, &r.dec_input))
+        .collect();
+    let mut engine = BatchedDecodeState::new(m, ps, reqs.len());
+    if let Some(steps) = reserve {
+        engine.reserve_steps(steps);
+    }
+    let mut slots: Vec<Option<usize>> = vec![None; reqs.len()];
+    let mut pos = vec![0usize; reqs.len()];
+    let mut rows = Vec::new();
+    for step in 0.. {
+        for (r, slot) in slots.iter_mut().enumerate() {
+            if step == 3 * r {
+                *slot = engine.admit(&reqs[r].src);
+            }
+        }
+        let live: Vec<usize> = (0..reqs.len())
+            .filter(|&r| slots[r].is_some() && pos[r] < reqs[r].dec_input.len())
+            .collect();
+        if live.is_empty() {
+            break;
+        }
+        let active: Vec<(usize, u32)> = live
+            .iter()
+            .map(|&r| (slots[r].unwrap(), reqs[r].dec_input[pos[r]]))
+            .collect();
+        engine.step_packed_into(&active, &mut rows);
+        for (&r, row) in live.iter().zip(&rows) {
+            assert_bits(
+                row,
+                &tape[r][pos[r]],
+                &format!("{what} request {r} position {}", pos[r]),
+            );
+            pos[r] += 1;
+            if pos[r] == reqs[r].dec_input.len() {
+                engine.retire(slots[r].unwrap());
+            }
+        }
+    }
+    assert!(
+        reqs.iter().zip(&pos).all(|(r, &p)| p == r.dec_input.len()),
+        "{what}: every request decodes to the end"
+    );
+}
+
 #[test]
 fn packed_step_matches_tape_forward_bitwise_at_every_position() {
     for case in all_cases() {
         let (m, ps) = model(case);
         let reqs = requests(case, m.cfg.vocab);
-        let tape: Vec<Vec<Vec<f32>>> = reqs
-            .iter()
-            .map(|r| forced_logits(&m, &ps, &r.src, &r.dec_input))
-            .collect();
+        assert_engine_matches_tape(&m, &ps, &reqs, None, &format!("{case:?}"));
+    }
+}
 
-        // Request r joins at step 3r (before request 0's 24+ steps end) and
-        // leaves after its own step count, so packed steps mix positions
-        // and shrink as requests finish.
-        let mut engine = BatchedDecodeState::new(&m, &ps, reqs.len());
-        let mut slots: Vec<Option<usize>> = vec![None; reqs.len()];
-        let mut pos = vec![0usize; reqs.len()];
-        let mut rows = Vec::new();
-        for step in 0.. {
-            for (r, slot) in slots.iter_mut().enumerate() {
-                if step == 3 * r {
-                    *slot = engine.admit(&reqs[r].src);
-                }
-            }
-            let live: Vec<usize> = (0..reqs.len())
-                .filter(|&r| slots[r].is_some() && pos[r] < reqs[r].dec_input.len())
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-            let active: Vec<(usize, u32)> = live
-                .iter()
-                .map(|&r| (slots[r].unwrap(), reqs[r].dec_input[pos[r]]))
-                .collect();
-            engine.step_packed_into(&active, &mut rows);
-            for (&r, row) in live.iter().zip(&rows) {
-                assert_bits(
-                    row,
-                    &tape[r][pos[r]],
-                    &format!("{case:?} request {r} position {}", pos[r]),
-                );
-                pos[r] += 1;
-                if pos[r] == reqs[r].dec_input.len() {
-                    engine.retire(slots[r].unwrap());
-                }
-            }
+/// The edges of the decoder's key layouts: a 1-token and a 128-token
+/// source (the cross keys' one- and many-window extremes) and a decode
+/// that runs past 96 self-attention rows, with no reservation and with
+/// one far below the decode length, so the transposed self keys are
+/// re-laid out mid-request (16 → 32 → 64 → 128 → 256 columns).
+#[test]
+fn edge_lengths_and_key_regrowth_match_tape_forward_bitwise() {
+    for case in all_cases().into_iter().filter(|c| c.seed == 0) {
+        let (m, ps) = model(case);
+        let mut rng = XorShift::new(0xed6e ^ case.seed);
+        let vocab = m.cfg.vocab as u64;
+        let mut tokens = |n: usize| -> Vec<u32> {
+            (0..n)
+                .map(|_| 2 + (rng.next_u64() % (vocab - 2)) as u32)
+                .collect()
+        };
+        let request = |mut src: Vec<u32>, dec: Vec<u32>| {
+            src.push(EOS);
+            let dec_input = std::iter::once(DECODER_START).chain(dec).collect();
+            Request { src, dec_input }
+        };
+        let reqs = [
+            request(Vec::new(), tokens(20)),
+            request(tokens(127), tokens(40)),
+            request(tokens(9), tokens(129)),
+        ];
+        for reserve in [None, Some(16)] {
+            let what = format!("{case:?} reserve {reserve:?}");
+            assert_engine_matches_tape(&m, &ps, &reqs, reserve, &what);
         }
-        assert!(
-            reqs.iter().zip(&pos).all(|(r, &p)| p == r.dec_input.len()),
-            "{case:?}: every request decodes to the end"
-        );
     }
 }
 

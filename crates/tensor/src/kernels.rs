@@ -3,7 +3,8 @@
 //! The matmul kernels come in the three orientations the backward pass
 //! needs (`C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`), each with an `accumulate`
 //! flag so gradient contributions can be summed in place without a scratch
-//! buffer.
+//! buffer. Two attention kernels serve the batched decoder's one-row
+//! steps: [`attend_scores`] and [`attend_context`].
 //!
 //! # Lane ownership
 //!
@@ -26,12 +27,23 @@
 //! * `mm_nt` is a register tile: `MM_MR` rows by `MM_NR` columns of
 //!   `C` accumulate in `[f32; MM_NR]` arrays, one SIMD lane per output
 //!   element, against a panel of `B` packed `[k][MM_NR]` so each lane's
-//!   operand is contiguous.
+//!   operand is contiguous. A last group of 1–3 rows runs as one tile.
+//! * The decode attention kernels work on one query row. `attend_scores`
+//!   reads keys transposed (`[d, stride]`), with lanes over up to 32
+//!   consecutive keys; each lane is one `mm_nt` chain over its head's
+//!   `dh` products. `attend_context` holds `MM_MR` heads by up to 32
+//!   columns in registers for one pass over the value rows; each lane is
+//!   one `mm_nn` chain over ascending rows, with its exact-zero skip per
+//!   (head, row). Both cover a ragged length with full-width windows, the
+//!   last one moved back to end at the edge: a lane two windows share
+//!   runs its whole chain twice and stores the same bits.
 //!
 //! Tiling only regroups whole chains, so the results are bit-identical to
 //! the unblocked loops kept in this module's tests
-//! (`blocked_kernels_match_unblocked_bitwise`), which the batched-decode
-//! differential suite relies on.
+//! (`blocked_kernels_match_unblocked_bitwise`, and for attention the
+//! decoder's former per-head loops in
+//! `attention_kernels_match_the_scalar_loops_bitwise`), which the
+//! batched-decode differential suites rely on.
 //!
 //! # Arms
 //!
@@ -39,8 +51,10 @@
 //! times, once per `Arm`: for the baseline target (4-lane SSE on x86-64),
 //! and on x86-64 also inside `#[target_feature(enable = "avx2")]` (8
 //! lanes) and `#[target_feature(enable = "avx512f")]` (16 lanes)
-//! wrappers. Every arm runs the same tile shapes: a row of the 4×32
-//! tile is eight SSE, four AVX2 or two AVX-512 registers, and a row of
+//! wrappers. This holds for the matmul bodies and the two attention
+//! bodies alike. Every arm runs the same tile shapes: a row of the 4×32
+//! tile (or a 32-lane attention window) is eight SSE, four AVX2 or two
+//! AVX-512 registers, and a row of
 //! the 4×8 `mm_nt` tile is two SSE registers, one AVX2 register or half
 //! an AVX-512 one. The process runs the widest arm its CPU supports,
 //! detected once ([`arm_name`] names it). Lane width cannot move a bit:
@@ -76,11 +90,11 @@ pub fn first_nonfinite(x: &[f32]) -> Option<usize> {
 
 pub(crate) use arm::{Arm, Isa};
 
-/// Which instruction set the matmul serial bodies run on.
+/// Which instruction set the serial kernel bodies run on.
 mod arm {
     use std::sync::OnceLock;
 
-    /// The instruction sets the matmul serial bodies are compiled for,
+    /// The instruction sets the serial kernel bodies are compiled for,
     /// narrowest first. The wide ones exist only on x86-64.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Isa {
@@ -149,7 +163,7 @@ mod arm {
     }
 }
 
-/// The arm the matmul kernels run on in this process: `"avx512f"`,
+/// The arm the kernels run on in this process: `"avx512f"`,
 /// `"avx2"` or `"baseline"`, the widest this CPU supports.
 pub fn arm_name() -> &'static str {
     Arm::active().isa().name()
@@ -538,16 +552,36 @@ fn mm_nt_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize,
         }
         let mut i0 = 0;
         while i0 + MM_MR <= m {
-            let tile = nt_tile::<MM_MR>(&a[i0 * k..(i0 + MM_MR) * k], &panel);
-            store_tile(&tile, c, i0, n, (j0, j1), accumulate);
+            nt_rows::<MM_MR>(a, &panel, c, i0, n, (j0, j1), accumulate);
             i0 += MM_MR;
         }
-        for i in i0..m {
-            let tile = nt_tile::<1>(&a[i * k..(i + 1) * k], &panel);
-            store_tile(&tile, c, i, n, (j0, j1), accumulate);
+        // The last 1–3 rows run as one tile, so a call with fewer than
+        // `MM_MR` rows (a small decode batch) still reads each panel row once.
+        match m - i0 {
+            1 => nt_rows::<1>(a, &panel, c, i0, n, (j0, j1), accumulate),
+            2 => nt_rows::<2>(a, &panel, c, i0, n, (j0, j1), accumulate),
+            3 => nt_rows::<3>(a, &panel, c, i0, n, (j0, j1), accumulate),
+            _ => {}
         }
     }
     NT_PANEL.with(|cell| cell.set(panel));
+}
+
+/// Rows `i0..i0 + R` of one [`mm_nt`] column tile: `nt_tile` over those
+/// rows of `a`, stored into `c`.
+#[inline(always)]
+fn nt_rows<const R: usize>(
+    a: &[f32],
+    panel: &[[f32; MM_NR]],
+    c: &mut [f32],
+    i0: usize,
+    n: usize,
+    cols: (usize, usize),
+    accumulate: bool,
+) {
+    let k = panel.len();
+    let tile = nt_tile::<R>(&a[i0 * k..(i0 + R) * k], panel);
+    store_tile(&tile, c, i0, n, cols, accumulate);
 }
 
 /// One `R × MM_NR` block of `A·Bᵀ`: `a` holds `R` rows of length `k =
@@ -643,6 +677,233 @@ pub(crate) fn mm_tn_on(
         };
         mm_tiled_serial(arm, a, b, chunk, hi - lo, k, n, accumulate);
     });
+}
+
+/// Attention scores of one query row against `tk` keys, every head at
+/// once: `scores[h·tk + t] = (Σ_c q[h·dh + c] · k_t[(h·dh + c)·stride + t])
+/// · scale`, with `q: [d]`, the keys transposed as `k_t: [d, stride]`
+/// (column `t` is key `t`; columns `tk..stride` are spare capacity, never
+/// read) and `scores: [d / dh, tk]`.
+///
+/// Lanes run over keys: a tile of up to 32 consecutive `t` holds its
+/// sums in registers while `c` sweeps the head. Each lane is the chain of
+/// one [`mm_nt`] element: it starts at +0.0 and adds `q·k` for ascending
+/// `c` with a separate multiply and add (no zero skip), then meets
+/// `scale`, the tape's separate scaling multiply.
+pub fn attend_scores(
+    q: &[f32],
+    k_t: &[f32],
+    stride: usize,
+    tk: usize,
+    dh: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    attend_scores_on(Arm::active(), q, k_t, stride, tk, dh, scale, scores);
+}
+
+/// [`attend_scores`] on `arm`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_scores_on(
+    arm: Arm,
+    q: &[f32],
+    k_t: &[f32],
+    stride: usize,
+    tk: usize,
+    dh: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    let d = q.len();
+    // hot-ok: shape contract at kernel entry — once per call, amortized over the d*tk score products
+    assert!(
+        dh > 0 && d.is_multiple_of(dh) && tk <= stride && k_t.len() == d * stride,
+        "attend_scores: q has {d} elements in heads of {dh}, K^T has {} for stride {stride} \
+         and {tk} keys",
+        k_t.len()
+    );
+    // hot-ok: shape contract at kernel entry — once per call, amortized over the d*tk score products
+    assert_eq!(
+        scores.len(),
+        d / dh * tk,
+        "attend_scores: scores has {} elements, want heads*tk = {}*{tk}",
+        scores.len(),
+        d / dh
+    );
+    attend_scores_serial(arm, q, k_t, stride, tk, dh, scale, scores);
+}
+
+per_arm! {
+    /// Serial body of [`attend_scores`] on `arm`.
+    fn attend_scores_serial = attend_scores_body(
+        q: &[f32],
+        k_t: &[f32],
+        stride: usize,
+        tk: usize,
+        dh: usize,
+        scale: f32,
+        scores: &mut [f32],
+    );
+}
+
+#[inline(always)]
+fn attend_scores_body(
+    q: &[f32],
+    k_t: &[f32],
+    stride: usize,
+    tk: usize,
+    dh: usize,
+    scale: f32,
+    scores: &mut [f32],
+) {
+    if tk == 0 {
+        return;
+    }
+    let heads = q
+        .chunks_exact(dh)
+        .zip(k_t.chunks_exact(dh * stride))
+        .zip(scores.chunks_exact_mut(tk));
+    for ((q_h, k_h), out) in heads {
+        match tk {
+            ..MM_NR => score_windows::<1>(q_h, k_h, stride, scale, out),
+            MM_NR..MM_NC_NARROW => score_windows::<MM_NR>(q_h, k_h, stride, scale, out),
+            MM_NC_NARROW..MM_NC => score_windows::<MM_NC_NARROW>(q_h, k_h, stride, scale, out),
+            _ => score_windows::<MM_NC>(q_h, k_h, stride, scale, out),
+        }
+    }
+}
+
+/// The windows of `W` lanes that cover `0..len` (`len >= W`): `W` apart
+/// from 0, the last one moved back to end at `len`. A lane the last
+/// window shares with the one before it runs its whole chain again and
+/// stores the same bits, so a ragged `len` still runs full-width tiles.
+fn lane_windows<const W: usize>(len: usize) -> impl Iterator<Item = usize> {
+    (0..len).step_by(W).map(move |lo| lo.min(len - W))
+}
+
+/// One head's scores (`out: [tk]`) from its `dh` rows of the transposed
+/// keys (`k_h`, `stride` apart), `W` keys per register tile.
+#[inline(always)]
+fn score_windows<const W: usize>(
+    q_h: &[f32],
+    k_h: &[f32],
+    stride: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    for t0 in lane_windows::<W>(out.len()) {
+        let mut lanes = [0.0f32; W];
+        for (&qv, k_row) in q_h.iter().zip(k_h.chunks_exact(stride)) {
+            for (lane, &kv) in lanes.iter_mut().zip(&k_row[t0..t0 + W]) {
+                *lane += qv * kv;
+            }
+        }
+        for (o, lane) in out[t0..t0 + W].iter_mut().zip(lanes) {
+            *o = lane * scale;
+        }
+    }
+}
+
+/// The attention context of one query row, every head in one pass over
+/// the value rows: `ctx[h·dh + c] = Σ_t probs[h·tk + t] · v[t·d + h·dh +
+/// c]`, with `probs: [d / dh, tk]`, `v: [tk, d]` and `ctx: [d]`
+/// (overwritten).
+///
+/// Each lane is the chain of one [`mm_nn`] element: it starts at +0.0,
+/// walks ascending `t` with a separate multiply and add, and adds nothing
+/// for a `(head, t)` whose probability is exactly zero, so a zero
+/// probability meeting an infinite or NaN value keeps the sum finite, as
+/// on the tape. A tile holds `MM_MR` heads by up to 32 columns in
+/// registers, so the heads' add chains overlap.
+pub fn attend_context(probs: &[f32], v: &[f32], tk: usize, dh: usize, ctx: &mut [f32]) {
+    attend_context_on(Arm::active(), probs, v, tk, dh, ctx);
+}
+
+/// [`attend_context`] on `arm`.
+pub(crate) fn attend_context_on(
+    arm: Arm,
+    probs: &[f32],
+    v: &[f32],
+    tk: usize,
+    dh: usize,
+    ctx: &mut [f32],
+) {
+    let d = ctx.len();
+    // hot-ok: shape contract at kernel entry — once per call, amortized over the tk*d context products
+    assert!(
+        dh > 0 && d.is_multiple_of(dh) && probs.len() == d / dh * tk && v.len() == tk * d,
+        "attend_context: ctx has {d} elements in heads of {dh}, probs {} and V {} for {tk} rows",
+        probs.len(),
+        v.len()
+    );
+    attend_context_serial(arm, probs, v, tk, dh, ctx);
+}
+
+per_arm! {
+    /// Serial body of [`attend_context`] on `arm`.
+    fn attend_context_serial = attend_context_body(
+        probs: &[f32],
+        v: &[f32],
+        tk: usize,
+        dh: usize,
+        ctx: &mut [f32],
+    );
+}
+
+#[inline(always)]
+fn attend_context_body(probs: &[f32], v: &[f32], tk: usize, dh: usize, ctx: &mut [f32]) {
+    match dh {
+        ..MM_NR => context_windows::<1>(probs, v, tk, dh, ctx),
+        MM_NR..MM_NC_NARROW => context_windows::<MM_NR>(probs, v, tk, dh, ctx),
+        MM_NC_NARROW..MM_NC => context_windows::<MM_NC_NARROW>(probs, v, tk, dh, ctx),
+        _ => context_windows::<MM_NC>(probs, v, tk, dh, ctx),
+    }
+}
+
+/// Every head's context in windows of `W` columns (`lane_windows` of
+/// `dh`), heads in tiles of `MM_MR` and then one at a time. Tile row `r`
+/// owns columns `j0..j0 + W` of head `h + r`: it reads that head's
+/// probability row and its slice of every value row.
+#[inline(always)]
+fn context_windows<const W: usize>(
+    probs: &[f32],
+    v: &[f32],
+    tk: usize,
+    dh: usize,
+    ctx: &mut [f32],
+) {
+    let d = ctx.len();
+    let heads = d / dh;
+    let p_row = |h: usize| &probs[h * tk..(h + 1) * tk];
+    for j0 in lane_windows::<W>(dh) {
+        let col = |h: usize| h * dh + j0;
+        let mut h = 0;
+        while h + MM_MR <= heads {
+            // Named rows, as in `column_tile`, so they stay in registers.
+            let (p0, p1, p2, p3) = (p_row(h), p_row(h + 1), p_row(h + 2), p_row(h + 3));
+            let (c0, c1, c2, c3) = (col(h), col(h + 1), col(h + 2), col(h + 3));
+            let (mut r0, mut r1, mut r2, mut r3) = ([0.0f32; W], [0.0; W], [0.0; W], [0.0; W]);
+            for (t, v_row) in v.chunks_exact(d).enumerate() {
+                add_products(&mut r0, p0[t], &v_row[c0..c0 + W]);
+                add_products(&mut r1, p1[t], &v_row[c1..c1 + W]);
+                add_products(&mut r2, p2[t], &v_row[c2..c2 + W]);
+                add_products(&mut r3, p3[t], &v_row[c3..c3 + W]);
+            }
+            store_row(ctx, c0, &r0);
+            store_row(ctx, c1, &r1);
+            store_row(ctx, c2, &r2);
+            store_row(ctx, c3, &r3);
+            h += MM_MR;
+        }
+        for h in h..heads {
+            let (p0, c0) = (p_row(h), col(h));
+            let mut r0 = [0.0f32; W];
+            for (t, v_row) in v.chunks_exact(d).enumerate() {
+                add_products(&mut r0, p0[t], &v_row[c0..c0 + W]);
+            }
+            store_row(ctx, c0, &r0);
+        }
+    }
 }
 
 /// Copies rows `ids` of a row-major `[rows, d]` source into `dst`
@@ -875,6 +1136,52 @@ mod tests {
                 }
             }
         }
+
+        /// The batched decoder's per-head score loop before it became
+        /// `attend_scores`, over row-major keys `k: [tk, d]`: one
+        /// ascending-`k` dot per key, then the scale.
+        pub fn attend_scores(q: &[f32], k: &[f32], tk: usize, dh: usize, scale: f32) -> Vec<f32> {
+            let d = q.len();
+            let mut scores = Vec::new();
+            for h in 0..d / dh {
+                let q_h = &q[h * dh..(h + 1) * dh];
+                for t in 0..tk {
+                    let k_row = &k[t * d + h * dh..t * d + (h + 1) * dh];
+                    let mut acc = 0.0f32;
+                    for (&qv, &kv) in q_h.iter().zip(k_row.iter()) {
+                        acc += qv * kv;
+                    }
+                    scores.push(acc * scale);
+                }
+            }
+            scores
+        }
+
+        /// The batched decoder's per-head context loop before it became
+        /// `attend_context`: an ascending-`t` probability-weighted sum
+        /// per head with the `mm_nn` exact-zero skip.
+        pub fn attend_context(
+            probs: &[f32],
+            v: &[f32],
+            tk: usize,
+            dh: usize,
+            d: usize,
+        ) -> Vec<f32> {
+            let mut ctx = vec![0.0f32; d];
+            for h in 0..d / dh {
+                let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
+                for (t, &p) in probs[h * tk..(h + 1) * tk].iter().enumerate() {
+                    if p == 0.0 {
+                        continue;
+                    }
+                    let v_row = &v[t * d + h * dh..t * d + (h + 1) * dh];
+                    for (c, &vv) in ctx_h.iter_mut().zip(v_row.iter()) {
+                        *c += p * vv;
+                    }
+                }
+            }
+            ctx
+        }
     }
 
     type Kernel = fn(Arm, usize, &[f32], &[f32], &mut [f32], usize, usize, usize, bool);
@@ -1057,6 +1364,135 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// `attend_scores` and `attend_context` against the decoder's old
+    /// scalar loops on every arm: key counts on both sides of each lane
+    /// window (8, 16, 32) and past 96, both head widths the models use,
+    /// spare K capacity filled with NaN (a lane that read past `tk` would
+    /// show it), and values salted with ±0.0, ±Inf and NaN under
+    /// probabilities that are exactly zero in places.
+    #[test]
+    fn attention_kernels_match_the_scalar_loops_bitwise() {
+        for_each_arm("attention_kernels_match_the_scalar_loops_bitwise", |arm| {
+            let name = arm.isa().name();
+            for dh in [8, 16] {
+                for heads in [1, 2, 4, 5] {
+                    let d = dh * heads;
+                    for tk in [1, 15, 16, 17, 31, 32, 33, 96, 128] {
+                        let what = format!("{name} dh={dh} heads={heads} tk={tk}");
+                        let scale = 1.0 / (dh as f32).sqrt();
+                        for (q, k) in [
+                            (seq(d), seq_with_zeros(tk * d, 7)),
+                            (special(d, tk), special(tk * d, heads)),
+                        ] {
+                            let want = unblocked::attend_scores(&q, &k, tk, dh, scale);
+                            for stride in [tk, tk + 5] {
+                                let mut k_t = vec![f32::NAN; d * stride];
+                                for (t, row) in k.chunks_exact(d).enumerate() {
+                                    for (c, &kv) in row.iter().enumerate() {
+                                        k_t[c * stride + t] = kv;
+                                    }
+                                }
+                                let mut got = vec![f32::NAN; heads * tk];
+                                attend_scores_on(arm, &q, &k_t, stride, tk, dh, scale, &mut got);
+                                assert_bitwise(
+                                    &format!("{what} scores stride={stride}"),
+                                    &got,
+                                    &want,
+                                );
+                            }
+                        }
+                        // Softmax-like rows with exact zeros (one whole
+                        // head's row among them), over finite and special
+                        // values.
+                        let mut probs = seq_with_zeros(heads * tk, 3);
+                        probs.iter_mut().for_each(|p| *p = p.abs());
+                        probs[..tk].fill(0.0);
+                        for v in [seq(tk * d), special(tk * d, tk + heads)] {
+                            let want = unblocked::attend_context(&probs, &v, tk, dh, d);
+                            let mut got = vec![f32::NAN; d];
+                            attend_context_on(arm, &probs, &v, tk, dh, &mut got);
+                            assert_bitwise(&format!("{what} context"), &got, &want);
+                        }
+                        // A zero probability over a non-finite value adds
+                        // nothing, and −0.0 values keep the chain at +0.0.
+                        let zeros: Vec<f32> = (0..heads * tk)
+                            .map(|i| if (i % tk) % 2 == 0 { 0.0 } else { 0.5 })
+                            .collect();
+                        let v: Vec<f32> = (0..tk * d)
+                            .map(|i| match (i / d) % 4 {
+                                0 => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][i % 3],
+                                1 => -0.0,
+                                _ => 0.25,
+                            })
+                            .collect();
+                        let want = unblocked::attend_context(&zeros, &v, tk, dh, d);
+                        assert!(want.iter().all(|c| c.is_finite()), "{what}: {want:?}");
+                        let mut got = vec![f32::NAN; d];
+                        attend_context_on(arm, &zeros, &v, tk, dh, &mut got);
+                        assert_bitwise(&format!("{what} zero probabilities"), &got, &want);
+                    }
+                }
+            }
+        });
+    }
+
+    /// The decoder's logits run `mm_nn` on the tied embedding packed as
+    /// `[d, vocab]`, where the tape runs `mm_nt` on the `[vocab, d]`
+    /// table. `mm_nn` skips a zero activation and `mm_nt` adds its ±0.0
+    /// product, which changes nothing while the table is finite: a chain
+    /// that starts at +0.0 never holds −0.0. A non-finite weight under a
+    /// zero activation is where the two part: `mm_nt` makes NaN of it.
+    #[test]
+    fn packed_logits_table_matches_mm_nt_on_finite_tables() {
+        for_each_arm(
+            "packed_logits_table_matches_mm_nt_on_finite_tables",
+            |arm| {
+                let name = arm.isa().name();
+                for (m, d, vocab) in [(1, 16, 20), (3, 64, 97), (5, 16, 33), (8, 64, 1883)] {
+                    let mut table = seq(vocab * d);
+                    for (i, w) in table.iter_mut().enumerate() {
+                        match i % 13 {
+                            0 => *w = 0.0,
+                            5 => *w = -0.0,
+                            _ => {}
+                        }
+                    }
+                    let x: Vec<f32> = seq(m * d)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| match i % 4 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => v,
+                        })
+                        .collect();
+                    let packed = transpose(&table, vocab, d);
+                    let (mut got, mut want) = (vec![0.0; m * vocab], vec![0.0; m * vocab]);
+                    mm_nn_on(arm, 1, &x, &packed, &mut got, m, d, vocab, false);
+                    mm_nt_on(arm, 1, &x, &table, &mut want, m, d, vocab, false);
+                    assert_bitwise(&format!("{name} {m}x{d}x{vocab}"), &got, &want);
+                    table[1] = f32::INFINITY;
+                    mm_nn_on(
+                        arm,
+                        1,
+                        &x,
+                        &transpose(&table, vocab, d),
+                        &mut got,
+                        m,
+                        d,
+                        vocab,
+                        false,
+                    );
+                    mm_nt_on(arm, 1, &x, &table, &mut want, m, d, vocab, false);
+                    assert!(
+                        got[0].is_finite() && want[0].is_nan(),
+                        "{name}: {got:?} {want:?}"
+                    );
+                }
+            },
+        );
     }
 
     #[test]
