@@ -220,7 +220,7 @@ pub const CODES: &[CodeEntry] = &[
         family: "hot",
         summary: "stale hot-ok suppression matching no finding",
     },
-    // Serving engine rejection codes (serve::request::Rejection).
+    // Serving engine rejection codes (nn::engine::Rejection).
     CodeEntry {
         code: "R001",
         family: "serve",

@@ -8,6 +8,7 @@ use datavist5::finetune::single_task_examples;
 use datavist5::zoo::Zoo;
 use nn::batch::BatchedDecodeState;
 use nn::decode::batched_greedy_decode;
+use nn::engine::{Engine, EngineConfig, Request};
 use nn::optim::LrSchedule;
 use nn::train::{eval_mean, train_seq2seq, TrainConfig};
 use tokenizer::special;
@@ -88,12 +89,18 @@ fn main() {
             batched_greedy_decode(&model, &ps, std::slice::from_ref(src), special::EOS, 40, 1);
         println!("  gold: {:?}", zoo.tok.decode(tgt));
         println!("  pred: {:?}", zoo.tok.decode(&out[0]));
-        // Distribution at step 0.
-        let mut engine = BatchedDecodeState::new(&model, &ps, 1);
-        let slot = engine.admit(src).expect("fresh engine has a free slot");
-        let mut rows = Vec::new();
-        engine.step_packed_into(&[(slot, nn::t5::DECODER_START)], &mut rows);
-        let logits = &rows[0];
+        // Distribution at step 0: the first pick copies the row and ends
+        // the request.
+        let dec = BatchedDecodeState::new(&model, &ps, 1);
+        let mut engine = Engine::new(dec, EngineConfig::new(1, 1, special::EOS));
+        engine.submit(Request::new(0, (), src.clone()));
+        let mut logits = Vec::new();
+        engine
+            .tick_with(|_, row, _| {
+                logits = row.to_vec();
+                None
+            })
+            .expect("one request on a one-slot engine");
         let mut top: Vec<(usize, f32)> = logits.iter().copied().enumerate().collect();
         top.sort_by(|a, b| b.1.total_cmp(&a.1));
         let names: Vec<String> = top

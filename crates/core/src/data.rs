@@ -8,6 +8,8 @@
 //! ambiguity.
 
 use corpus::{Corpus, Split};
+use nn::engine::{EncodeRequest, RequestTag};
+use tokenizer::WordTokenizer;
 use vql::encode::{encode_schema, encode_table, LinearTable};
 use vql::schema::DbSchema;
 
@@ -46,6 +48,13 @@ impl Task {
             Task::VisToText | Task::TableToText => "<description>",
             Task::FeVisQa => "<answer>",
         }
+    }
+}
+
+/// The serving engine tags each request with the task it targets.
+impl RequestTag for Task {
+    fn label(&self) -> &'static str {
+        Task::label(self)
     }
 }
 
@@ -184,8 +193,23 @@ impl TaskRequest {
     /// (and underlying tokens) match, so the key must be computed over
     /// the *post-filtration* encoding: the same question against a
     /// different schema, or vice versa, keys differently.
-    pub fn cache_key(&self, tok: &tokenizer::WordTokenizer) -> u64 {
-        nn::prefix_hash(&tok.encode_with_eos(&self.input_text()))
+    pub fn cache_key(&self, tok: &WordTokenizer) -> u64 {
+        nn::prefix_hash(&self.encode(tok))
+    }
+}
+
+/// What `serve::ServeRequest::from_task` admits: the unified input
+/// encoding, tokenized with a trailing EOS.
+impl EncodeRequest for TaskRequest {
+    type Tag = Task;
+    type Tokenizer = WordTokenizer;
+
+    fn tag(&self) -> Task {
+        self.task()
+    }
+
+    fn encode(&self, tok: &WordTokenizer) -> Vec<u32> {
+        tok.encode_with_eos(&self.input_text())
     }
 }
 

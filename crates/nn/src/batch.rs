@@ -44,8 +44,9 @@
 //! A finished request is [`retire`]d, which NaN-poisons its caches (so any
 //! accidental read by a later step would propagate to logits and fail the
 //! differential tests) and frees its slot for immediate reuse by
-//! [`admit`] — the scheduling loop in [`crate::decode::batched_greedy_decode`]
-//! refills slots from its pending queue without draining the batch.
+//! [`admit`] — the scheduler in [`crate::engine`], which serving and
+//! eval's batched decoders share, refills slots from its queue without
+//! draining the batch.
 //! [`fork`] copies a live request into a free slot, which is how beam
 //! search branches a hypothesis.
 //!
@@ -140,14 +141,12 @@ struct Slot {
 }
 
 /// A slot lifecycle notification from the batcher, in the order the
-/// transitions happened. External schedulers ([`crates/serve`]'s engine)
-/// drain these with [`BatchedDecodeState::take_slot_events`] and
-/// cross-check them against their own admission bookkeeping, so a
+/// transitions happened. The scheduler ([`crate::engine::Engine`])
+/// drains these with [`BatchedDecodeState::take_slot_events`] and
+/// cross-checks them against its own admission bookkeeping, so a
 /// scheduler bug that admits into an occupied slot or double-retires is
 /// caught at the boundary between the two layers rather than as NaN
 /// logits three steps later.
-///
-/// [`crates/serve`]: https://docs.rs/serve
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotEvent {
     /// A request was installed in `slot`; its source had `src_len` tokens.

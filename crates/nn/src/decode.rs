@@ -1,12 +1,14 @@
 //! Decoding strategies: greedy, beam search, and grammar-constrained.
 //!
-//! T5 models decode on one engine, the [`BatchedDecodeState`]:
-//! [`batched_greedy_decode`] and [`batched_constrained_decode`] drive it
-//! with continuous batching (free slots refill from the pending request
-//! queue the moment a request retires), and [`beam_decode`] runs its
-//! hypotheses as slots of one engine. Decoding a single input is a batch
-//! of one. Per request, the tokens do not depend on the capacity or on
-//! the other requests in the batch, and equal the tokens of the same
+//! T5 models decode on one engine, the [`BatchedDecodeState`].
+//! [`batched_greedy_decode`] and [`batched_constrained_decode`] submit
+//! every input to the serving scheduler, [`crate::engine::Engine`], and
+//! tick it until it drains: continuous batching (free slots refill from
+//! the queue the moment a request retires) with the pick rule passed to
+//! [`tick_with`](crate::engine::Engine::tick_with). [`beam_decode`] runs
+//! its hypotheses as slots of one engine. Decoding a single input is a
+//! batch of one. Per request, the tokens do not depend on the capacity or
+//! on the other requests in the batch, and equal the tokens of the same
 //! pick rule applied to the teacher-forced tape forward one prefix at a
 //! time. The decode suites check both properties. The determinism
 //! contracts of [`argmax`] and [`masked_argmax`] are part of that
@@ -17,6 +19,7 @@
 //! start token is the T5 convention (`<pad>`).
 
 use crate::batch::BatchedDecodeState;
+use crate::engine::{Engine, EngineConfig, Request};
 use crate::param::ParamSet;
 use crate::t5::{T5Model, DECODER_START};
 
@@ -208,14 +211,14 @@ pub fn log_softmax(xs: &[f32]) -> Vec<f32> {
     xs.iter().map(|x| x - log_sum).collect()
 }
 
-/// Greedy-decodes every request in `srcs` through a
-/// [`BatchedDecodeState`] with `capacity` slots, returning per-request
-/// outputs in input order.
+/// Greedy-decodes every request in `srcs` on the engine with a
+/// `capacity`-slot [`BatchedDecodeState`], returning per-request outputs
+/// in input order.
 ///
 /// Per request, the tokens are the same for every `capacity` and every
 /// batch composition: the logits are bit-identical (see [`crate::batch`])
 /// and [`argmax`] breaks ties the same way. Slots retire on EOS or
-/// `max_len` and refill from the pending queue immediately (continuous
+/// `max_len` and refill from the queue immediately (continuous
 /// batching), so a long request never blocks admission of short ones.
 pub fn batched_greedy_decode(
     model: &T5Model,
@@ -225,9 +228,8 @@ pub fn batched_greedy_decode(
     max_len: usize,
     capacity: usize,
 ) -> Vec<Vec<u32>> {
-    batched_decode_loop(model, ps, srcs, max_len, capacity, |_, logits, _| {
-        let next = argmax(logits);
-        (next != eos).then_some(next)
+    decode_on_engine(model, ps, srcs, eos, max_len, capacity, |_, logits, _| {
+        Some(argmax(logits))
     })
 }
 
@@ -236,7 +238,8 @@ pub fn batched_greedy_decode(
 /// `allowed(request, prefix)` maps each request's emitted prefix to its
 /// allowed token ids; the next token is the [`masked_argmax`] over that
 /// set (last-entry tie-breaking), and an empty set finishes the request
-/// without emitting.
+/// without emitting. The set is a fresh `Vec` per request per step, so
+/// unlike a greedy tick a constrained one allocates.
 pub fn batched_constrained_decode(
     model: &T5Model,
     ps: &ParamSet,
@@ -246,126 +249,52 @@ pub fn batched_constrained_decode(
     capacity: usize,
     mut allowed: impl FnMut(usize, &[u32]) -> Vec<u32>,
 ) -> Vec<Vec<u32>> {
-    batched_decode_loop(model, ps, srcs, max_len, capacity, |req, logits, prefix| {
-        let mask = allowed(req, prefix);
-        if mask.is_empty() {
-            return None;
-        }
-        let next = masked_argmax(logits, &mask);
-        (next != eos).then_some(next)
-    })
+    decode_on_engine(
+        model,
+        ps,
+        srcs,
+        eos,
+        max_len,
+        capacity,
+        |req, logits, prefix| {
+            let mask = allowed(req.id as usize, prefix);
+            (!mask.is_empty()).then(|| masked_argmax(logits, &mask))
+        },
+    )
 }
 
-/// The continuous-batching scheduler shared by the batched decoders.
-///
-/// `pick(request, logits, prefix)` returns the next token, or `None` to
-/// finish the request without emitting (EOS or an empty constraint set).
-/// Requests admit in input order whenever a slot is free; each lives for
-/// exactly as many packed steps as it emits tokens, plus the finishing
-/// step when it ends on `None`.
-fn batched_decode_loop(
+/// Submits every source at t = 0 (id = input index, no deadline, a queue
+/// as long as the input) and ticks the engine with `pick` until it is
+/// idle; returns the tokens in input order.
+fn decode_on_engine(
     model: &T5Model,
     ps: &ParamSet,
     srcs: &[Vec<u32>],
+    eos: u32,
     max_len: usize,
     capacity: usize,
-    mut pick: impl FnMut(usize, &[f32], &[u32]) -> Option<u32>,
+    mut pick: impl FnMut(&Request<()>, &[f32], &[u32]) -> Option<u32>,
 ) -> Vec<Vec<u32>> {
-    // hot-ok: per-run output table — allocated once, before the step loop
-    let mut outs: Vec<Vec<u32>> = vec![Vec::new(); srcs.len()];
     if srcs.is_empty() || max_len == 0 {
-        return outs;
+        return vec![Vec::new(); srcs.len()];
     }
-    let _span = obs::span!("decode/batched");
-    let obs_on = obs::enabled();
-    if obs_on {
-        obs::gauge_set("decode.threads", tensor::par::threads() as f64);
+    // The virtual clock's costs never reach the tokens.
+    let cfg = EngineConfig::new(srcs.len(), max_len, eos);
+    let mut engine = Engine::new(BatchedDecodeState::new(model, ps, capacity), cfg);
+    for (id, src) in srcs.iter().enumerate() {
+        engine.submit(Request::new(id as u64, (), src.clone()));
     }
-    let mut state = BatchedDecodeState::new(model, ps, capacity);
-    state.reserve_steps(max_len);
-    // hot-ok: per-run slot tables — allocated once, reused by every step
-    let mut slot_req: Vec<Option<usize>> = vec![None; capacity];
-    // hot-ok: per-run slot tables — allocated once, reused by every step
-    let mut slot_prev: Vec<u32> = vec![DECODER_START; capacity];
-    // hot-ok: per-run step buffers — recycled by step_packed_into each iteration
-    let mut active: Vec<(usize, u32)> = Vec::with_capacity(capacity);
-    // hot-ok: per-run step buffers — recycled by step_packed_into each iteration
-    let mut logits: Vec<Vec<f32>> = Vec::with_capacity(capacity);
-    let mut next_req = 0usize;
-    let mut live = 0usize;
-    loop {
-        // Refill free slots from the pending queue.
-        let mut admitted = 0u64;
-        while next_req < srcs.len() {
-            // hot-ok: next_req < srcs.len() is the loop condition
-            let Some(slot) = state.admit(&srcs[next_req]) else {
-                break;
-            };
-            // hot-ok: slot indices come from state.admit, bounded by capacity
-            slot_req[slot] = Some(next_req);
-            // hot-ok: slot indices come from state.admit, bounded by capacity
-            slot_prev[slot] = DECODER_START;
-            next_req += 1;
-            live += 1;
-            admitted += 1;
-        }
-        if live == 0 {
-            break;
-        }
-        if obs_on {
-            if admitted > 0 {
-                obs::counter_add("decode.admitted", admitted);
-            }
-            obs::counter_add("decode.steps", 1);
-            obs::gauge_set("decode.slot_occupancy", live as f64 / capacity as f64);
-            obs::gauge_set("decode.kv_cache_bytes", state.cache_bytes() as f64);
-        }
-        active.clear();
-        active.extend(
-            slot_req
-                .iter()
-                .enumerate()
-                // hot-ok: slot enumerates slot_prev's own indices
-                .filter_map(|(slot, req)| req.map(|_| (slot, slot_prev[slot]))),
-        );
-        state.step_packed_into(&active, &mut logits);
-        let mut emitted = 0u64;
-        let mut retired = 0u64;
-        for (&(slot, _), row) in active.iter().zip(logits.iter()) {
-            let Some(req) = slot_req.get(slot).copied().flatten() else {
-                continue;
-            };
-            // hot-ok: req indexes outs, sized to srcs.len() which bounds every req id
-            let finished = match pick(req, row, &outs[req]) {
-                None => true,
-                Some(next) => {
-                    // hot-ok: req indexes outs, sized to srcs.len() which bounds every req id
-                    outs[req].push(next);
-                    // hot-ok: slot came from active, built over slot_prev's indices
-                    slot_prev[slot] = next;
-                    emitted += 1;
-                    // hot-ok: req indexes outs, sized to srcs.len() which bounds every req id
-                    outs[req].len() >= max_len
-                }
-            };
-            if finished {
-                state.retire(slot);
-                // hot-ok: slot came from active, built over slot_req's indices
-                slot_req[slot] = None;
-                live -= 1;
-                retired += 1;
-            }
-        }
-        if obs_on {
-            if emitted > 0 {
-                obs::counter_add("decode.tokens", emitted);
-            }
-            if retired > 0 {
-                obs::counter_add("decode.retired", retired);
-            }
+    while !engine.is_idle() {
+        if let Err(e) = engine.tick_with(&mut pick) {
+            panic!("decode engine invariant violated: {e}");
         }
     }
-    outs
+    engine
+        .into_report()
+        .responses
+        .into_iter()
+        .map(|r| r.tokens)
+        .collect()
 }
 
 #[cfg(test)]

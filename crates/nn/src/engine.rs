@@ -1,5 +1,6 @@
-//! The serving engine: a deterministic scheduler driving the continuous
-//! batcher.
+//! The serving engine: the one deterministic scheduler driving the
+//! continuous batcher. `serve` runs it on `Task`-tagged requests, and
+//! eval's batched decoders in [`crate::decode`] on untagged (`()`) ones.
 //!
 //! # State machine
 //!
@@ -12,19 +13,26 @@
 //! 2. fill free batcher slots from the queue in `(priority, arrival)`
 //!    order, logging each admission;
 //! 3. advance every live slot one token via
-//!    [`step_packed_into`](nn::batch::BatchedDecodeState::step_packed_into);
-//! 4. complete requests that emitted EOS or hit the output cap, then
-//!    retire any survivor past its deadline (R003);
+//!    [`step_packed_into`](BatchedDecodeState::step_packed_into);
+//! 4. pick each request's next token, complete requests that finished or
+//!    hit the output cap, then retire any survivor past its deadline
+//!    (R003);
 //! 5. advance the virtual clock by the configured per-step and
 //!    per-admission costs and cross-check the batcher's own
 //!    [`SlotEvent`] log against the scheduler's bookkeeping.
+//!
+//! [`tick_with`](Engine::tick_with) takes the pick per request (greedy
+//! or grammar-constrained can share one packed step); [`tick`] picks the
+//! greedy [`argmax`].
+//!
+//! [`tick`]: Engine::tick
 //!
 //! # Panic freedom
 //!
 //! A scheduler/batcher bookkeeping divergence used to be a process-
 //! killing `.expect()` inside the tick loop — one bad slot would abort
 //! every in-flight request on the machine. Those invariants are now
-//! typed: [`tick`](ServeEngine::tick) returns `Err(`[`EngineError`]`)`
+//! typed: [`tick`](Engine::tick) returns `Err(`[`EngineError`]`)`
 //! on the first violation, after **poisoning** the engine — every queued
 //! and in-flight request is drained with a terminal
 //! [`Rejection::Internal`] (R005) response (partial tokens kept), later
@@ -36,37 +44,44 @@
 //!
 //! # Determinism
 //!
-//! The engine never reads a wall clock. Time is a *input*: the virtual
-//! clock advances only through [`ServeEngine::advance_to`] (external
+//! The engine never reads a wall clock. Time is an *input*: the virtual
+//! clock advances only through [`Engine::advance_to`] (external
 //! time injection, used by the real-time front door and the load
 //! generator, both of which live where clock reads are sanctioned) and
-//! through the fixed per-tick costs of [`ServeConfig`]. Given one
+//! through the fixed per-tick costs of [`EngineConfig`]. Given one
 //! arrival trace, admission order, slot assignment, deadline decisions,
 //! and every emitted token are pure functions of the trace — the
-//! double-run suite asserts the whole [`ServeReport::fingerprint`] is
-//! bitwise-stable across runs and across worker-thread counts (the
-//! batcher's kernels are certified thread-count-invariant).
+//! double-run suite (`serve_double_run`) asserts the whole
+//! [`Report::fingerprint`] is bitwise-stable across runs. Its 1/2/4
+//! worker-thread sweep compares serial runs only: at its shapes no
+//! product reaches 2 × `tensor::par::PAR_MIN_ELEMS` (4.19M MACs), so no
+//! kernel forks. The test that pins multi-core bits is
+//! `tensor::kernels::tests::parallel_dispatch_matches_serial_bitwise`.
 //!
 //! # Accounting
 //!
-//! `arrivals == completed + rejected` always; [`ServeReport::accounted`]
+//! `arrivals == completed + rejected` always; [`Report::accounted`]
 //! checks it and the CI smoke gates on it. Nothing is silently dropped.
+
+mod queue;
+mod request;
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use datavist5::data::Task;
-use nn::batch::{BatchedDecodeState, SlotEvent};
-use nn::decode::argmax;
-use nn::prefix_cache::CacheStats;
-use nn::t5::DECODER_START;
+use crate::batch::{BatchedDecodeState, SlotEvent};
+use crate::decode::argmax;
+use crate::prefix_cache::CacheStats;
+use crate::t5::DECODER_START;
 
-use crate::queue::{AdmissionQueue, Queued};
-use crate::request::{Outcome, Rejection, ServeRequest, ServeResponse};
+use queue::{AdmissionQueue, Queued};
+pub use request::{
+    EncodeRequest, Outcome, Priority, Rejection, Request, RequestTag, Response, NO_DEADLINE,
+};
 
 /// The slice of the continuous batcher the scheduler needs. Implemented
-/// by [`BatchedDecodeState`] (the real engine) and by the scripted
-/// decoder in [`crate::testing`] (scheduler tests without a model).
+/// by [`BatchedDecodeState`] (the real engine) and by `serve`'s
+/// `ScriptedDecoder` (scheduler tests without a model).
 pub trait BatchDecoder {
     /// Total slot count.
     fn capacity(&self) -> usize;
@@ -196,9 +211,9 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Scheduler configuration.
+/// Scheduler configuration (`serve::ServeConfig`).
 #[derive(Debug, Clone, Copy)]
-pub struct ServeConfig {
+pub struct EngineConfig {
     /// Admission-queue bound (backpressure threshold).
     pub queue_cap: usize,
     /// Output-length cap per request.
@@ -211,10 +226,10 @@ pub struct ServeConfig {
     pub admit_cost_ns: u64,
 }
 
-impl ServeConfig {
+impl EngineConfig {
     /// A small default: 1 ms per step, 2 ms per admission.
-    pub fn new(queue_cap: usize, max_out: usize, eos: u32) -> ServeConfig {
-        ServeConfig {
+    pub fn new(queue_cap: usize, max_out: usize, eos: u32) -> EngineConfig {
+        EngineConfig {
             queue_cap,
             max_out,
             eos,
@@ -227,11 +242,11 @@ impl ServeConfig {
 /// One admission, as logged: the deterministic artifact the golden test
 /// pins and the double-run fingerprint includes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionRecord {
+pub struct AdmissionRecord<T> {
     /// Arrival sequence number of the request.
     pub seq: u64,
     pub id: u64,
-    pub task: Task,
+    pub task: T,
     pub slot: usize,
     /// Virtual admission time.
     pub admitted_ns: u64,
@@ -239,7 +254,7 @@ pub struct AdmissionRecord {
     pub queue_wait_ns: u64,
 }
 
-impl AdmissionRecord {
+impl<T: RequestTag> AdmissionRecord<T> {
     /// Stable one-line rendering (golden log format).
     pub fn render(&self) -> String {
         format!(
@@ -255,17 +270,16 @@ impl AdmissionRecord {
 }
 
 /// A request resident in a batcher slot.
-struct InFlight {
-    req: ServeRequest,
+struct InFlight<T> {
+    req: Request<T>,
     arrival_ns: u64,
     tokens: Vec<u32>,
-    prev: u32,
     /// Packed steps this request has taken (cross-checked against the
     /// batcher's retirement event).
     steps: usize,
 }
 
-/// Per-task tallies for the fairness report.
+/// Per-tag tallies for the fairness report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskTally {
     pub arrivals: u64,
@@ -273,21 +287,21 @@ pub struct TaskTally {
     pub rejected: u64,
 }
 
-/// The serving scheduler over a [`BatchDecoder`].
-pub struct ServeEngine<D: BatchDecoder> {
+/// The scheduler over a [`BatchDecoder`], for requests tagged with `T`.
+pub struct Engine<D, T> {
     dec: D,
-    cfg: ServeConfig,
+    cfg: EngineConfig,
     now_ns: u64,
-    queue: AdmissionQueue,
-    slots: Vec<Option<InFlight>>,
+    queue: AdmissionQueue<T>,
+    slots: Vec<Option<InFlight<T>>>,
     live: usize,
     next_seq: u64,
-    log: Vec<AdmissionRecord>,
+    log: Vec<AdmissionRecord<T>>,
     /// Responses not yet drained by the caller.
-    outbox: Vec<ServeResponse>,
+    outbox: Vec<Response<T>>,
     /// All responses ever produced (report of record).
-    responses: Vec<ServeResponse>,
-    per_task: BTreeMap<Task, TaskTally>,
+    responses: Vec<Response<T>>,
+    per_task: BTreeMap<T, TaskTally>,
     rejected: BTreeMap<&'static str, u64>,
     arrivals: u64,
     completed: u64,
@@ -302,12 +316,12 @@ pub struct ServeEngine<D: BatchDecoder> {
     logits_buf: Vec<Vec<f32>>,
 }
 
-impl<D: BatchDecoder> ServeEngine<D> {
-    pub fn new(mut dec: D, cfg: ServeConfig) -> ServeEngine<D> {
+impl<D: BatchDecoder, T: RequestTag> Engine<D, T> {
+    pub fn new(mut dec: D, cfg: EngineConfig) -> Engine<D, T> {
         assert!(cfg.max_out > 0, "max_out must be positive");
         dec.reserve_steps(cfg.max_out);
         let capacity = dec.capacity();
-        ServeEngine {
+        Engine {
             dec,
             cfg,
             now_ns: 0,
@@ -334,11 +348,6 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// are no-ops.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Current virtual time.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
     }
 
     /// Queued request count (queue depth gauge).
@@ -377,8 +386,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// Accepts one request arriving at `arrival_ns` (≤ now, clamped
     /// otherwise). A full queue or an already-expired deadline produces
     /// an immediate typed rejection response.
-    pub fn submit(&mut self, req: ServeRequest) {
-        self.advance_to(0);
+    pub fn submit(&mut self, req: Request<T>) {
         let arrival = self.now_ns;
         self.submit_at(arrival, req);
     }
@@ -386,7 +394,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// [`submit`](Self::submit) with an explicit arrival timestamp (the
     /// trace replay path: the engine may notice an arrival later than the
     /// client sent it; latency is measured from the client's send).
-    pub fn submit_at(&mut self, arrival_ns: u64, req: ServeRequest) {
+    pub fn submit_at(&mut self, arrival_ns: u64, req: Request<T>) {
         self.advance_to(arrival_ns);
         self.arrivals += 1;
         self.per_task.entry(req.task).or_default().arrivals += 1;
@@ -415,7 +423,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
         }
     }
 
-    fn respond(&mut self, resp: ServeResponse) {
+    fn respond(&mut self, resp: Response<T>) {
         if obs::enabled() {
             obs::observe_ns("serve.latency_ns", resp.latency_ns());
             match resp.outcome {
@@ -442,8 +450,8 @@ impl<D: BatchDecoder> ServeEngine<D> {
         self.responses.push(resp);
     }
 
-    fn reject(&mut self, req: ServeRequest, arrival_ns: u64, why: Rejection) {
-        let resp = ServeResponse {
+    fn reject(&mut self, req: Request<T>, arrival_ns: u64, why: Rejection) {
+        let resp = Response {
             id: req.id,
             task: req.task,
             outcome: Outcome::Rejected(why),
@@ -456,20 +464,31 @@ impl<D: BatchDecoder> ServeEngine<D> {
 
     /// Responses produced since the last drain (completions *and*
     /// rejections), in production order.
-    pub fn drain_responses(&mut self) -> Vec<ServeResponse> {
+    pub fn drain_responses(&mut self) -> Vec<Response<T>> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// One scheduler tick; returns `Ok(true)` if a decode step ran. With
-    /// an empty queue and no live request this is a no-op. The first
-    /// invariant violation poisons the engine (all work drains with R005
-    /// responses) and returns the violation; every later tick is an
-    /// `Ok(false)` no-op.
+    /// One scheduler tick with the greedy pick ([`argmax`]): the serving
+    /// path. See [`tick_with`](Self::tick_with).
     pub fn tick(&mut self) -> Result<bool, EngineError> {
+        self.tick_with(|_, row, _| Some(argmax(row)))
+    }
+
+    /// One scheduler tick; returns `Ok(true)` if a decode step ran.
+    /// `pick(request, logits, emitted)` chooses each live request's next
+    /// token: `None` ends the request without emitting, `Some(eos)`
+    /// completes it. With an empty queue and no live request this is a
+    /// no-op. The first invariant violation poisons the engine (all work
+    /// drains with R005 responses) and returns the violation; every later
+    /// tick is an `Ok(false)` no-op.
+    pub fn tick_with(
+        &mut self,
+        mut pick: impl FnMut(&Request<T>, &[f32], &[u32]) -> Option<u32>,
+    ) -> Result<bool, EngineError> {
         if self.poisoned {
             return Ok(false);
         }
-        match self.tick_inner() {
+        match self.tick_inner(&mut pick) {
             Ok(stepped) => Ok(stepped),
             Err(e) => {
                 self.poison();
@@ -479,9 +498,12 @@ impl<D: BatchDecoder> ServeEngine<D> {
     }
 
     /// The tick body. Any `Err` leaves bookkeeping mid-transition;
-    /// [`tick`](Self::tick) immediately poisons the engine, which is the
-    /// only caller allowed to observe that state.
-    fn tick_inner(&mut self) -> Result<bool, EngineError> {
+    /// [`tick_with`](Self::tick_with) immediately poisons the engine,
+    /// which is the only caller allowed to observe that state.
+    fn tick_inner(
+        &mut self,
+        pick: &mut impl FnMut(&Request<T>, &[f32], &[u32]) -> Option<u32>,
+    ) -> Result<bool, EngineError> {
         // 1. Expire overdue queued requests.
         for item in self.queue.expire(self.now_ns) {
             self.reject(item.req, item.arrival_ns, Rejection::DeadlineQueued);
@@ -490,19 +512,15 @@ impl<D: BatchDecoder> ServeEngine<D> {
         // 2. Fill free slots in (priority, arrival) order.
         let mut admissions = 0u64;
         while self.live < self.slots.len() && !self.queue.is_empty() {
-            let Some(item) = self.queue.pop() else {
+            let Some(mut item) = self.queue.pop() else {
                 return Err(EngineError::EmptyQueuePop);
             };
             // An empty prompt still carries the EOS marker, mirroring
             // `encode_with_eos` (the encoder needs at least one token).
-            let src = if item.req.src.is_empty() {
-                // hot-ok: admission path — runs once per request, never in a steady tick
-                vec![self.cfg.eos]
-            } else {
-                // hot-ok: admission path — the decoder keeps no reference to src
-                item.req.src.clone()
-            };
-            let Some(slot) = self.dec.admit(&src) else {
+            if item.req.src.is_empty() {
+                item.req.src.push(self.cfg.eos);
+            }
+            let Some(slot) = self.dec.admit(&item.req.src) else {
                 // The popped item is in neither the queue nor a slot;
                 // give it its terminal R005 response before bailing so
                 // accounting survives the poison.
@@ -517,7 +535,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
             }
             self.expected_events.push(SlotEvent::Admitted {
                 slot,
-                src_len: src.len(),
+                src_len: item.req.src.len(),
             });
             self.log.push(AdmissionRecord {
                 seq: item.seq,
@@ -533,7 +551,6 @@ impl<D: BatchDecoder> ServeEngine<D> {
                     arrival_ns: item.arrival_ns,
                     // hot-ok: admission path — one reservation per request, reused every tick
                     tokens: Vec::with_capacity(self.cfg.max_out),
-                    prev: DECODER_START,
                     steps: 0,
                 });
                 self.live += 1;
@@ -560,12 +577,10 @@ impl<D: BatchDecoder> ServeEngine<D> {
         if stepped {
             let mut active = std::mem::take(&mut self.active);
             active.clear();
-            active.extend(
-                self.slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, s)| s.as_ref().map(|f| (slot, f.prev))),
-            );
+            active.extend(self.slots.iter().enumerate().filter_map(|(slot, s)| {
+                let f = s.as_ref()?;
+                Some((slot, f.tokens.last().copied().unwrap_or(DECODER_START)))
+            }));
             let mut logits = std::mem::take(&mut self.logits_buf);
             self.dec.step_packed_into(&active, &mut logits);
             if logits.len() != active.len() {
@@ -585,14 +600,14 @@ impl<D: BatchDecoder> ServeEngine<D> {
                 };
                 f.steps += 1;
                 let deadline_ns = f.req.deadline_ns;
-                let next = argmax(row);
-                let mut finished = next == self.cfg.eos;
-                if !finished {
-                    f.tokens.push(next);
-                    f.prev = next;
-                    emitted += 1;
-                    finished = f.tokens.len() >= self.cfg.max_out;
-                }
+                let finished = match pick(&f.req, row, &f.tokens) {
+                    Some(next) if next != self.cfg.eos => {
+                        f.tokens.push(next);
+                        emitted += 1;
+                        f.tokens.len() >= self.cfg.max_out
+                    }
+                    _ => true,
+                };
                 if finished {
                     let flight = self.take_flight(slot)?;
                     self.finish_flight(slot, flight, Outcome::Completed);
@@ -625,7 +640,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
 
     /// Removes the request resident in `slot` (typed counterpart of the
     /// old finish-of-empty-slot panic).
-    fn take_flight(&mut self, slot: usize) -> Result<InFlight, EngineError> {
+    fn take_flight(&mut self, slot: usize) -> Result<InFlight<T>, EngineError> {
         self.slots
             .get_mut(slot)
             .and_then(Option::take)
@@ -633,14 +648,14 @@ impl<D: BatchDecoder> ServeEngine<D> {
     }
 
     /// Retires a removed request with `outcome` and emits its response.
-    fn finish_flight(&mut self, slot: usize, f: InFlight, outcome: Outcome) {
+    fn finish_flight(&mut self, slot: usize, f: InFlight<T>, outcome: Outcome) {
         self.live -= 1;
         self.dec.retire(slot);
         self.expected_events.push(SlotEvent::Retired {
             slot,
             steps: f.steps,
         });
-        let resp = ServeResponse {
+        let resp = Response {
             id: f.req.id,
             task: f.req.task,
             outcome,
@@ -657,12 +672,12 @@ impl<D: BatchDecoder> ServeEngine<D> {
     fn poison(&mut self) {
         self.poisoned = true;
         self.expected_events.clear();
-        for item in self.queue.drain_all() {
+        while let Some(item) = self.queue.pop() {
             self.reject(item.req, item.arrival_ns, Rejection::Internal);
         }
         for slot in 0..self.slots.len() {
             if let Some(f) = self.slots.get_mut(slot).and_then(Option::take) {
-                let resp = ServeResponse {
+                let resp = Response {
                     id: f.req.id,
                     task: f.req.task,
                     outcome: Outcome::Rejected(Rejection::Internal),
@@ -685,7 +700,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// trace arrivals are still submitted (each draws an immediate R005
     /// rejection) so the accounting invariant holds, then the error is
     /// returned.
-    pub fn run_trace(&mut self, trace: &[(u64, ServeRequest)]) -> Result<(), EngineError> {
+    pub fn run_trace(&mut self, trace: &[(u64, Request<T>)]) -> Result<(), EngineError> {
         let _span = obs::span!("serve/run_trace");
         let mut next = 0usize;
         loop {
@@ -717,7 +732,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// batcher bookkeeping is untrusted, so the cross-checks are
     /// skipped.
     pub fn shutdown(&mut self) {
-        for item in self.queue.drain_all() {
+        while let Some(item) = self.queue.pop() {
             self.reject(item.req, item.arrival_ns, Rejection::Shutdown);
         }
         for slot in 0..self.slots.len() {
@@ -744,7 +759,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
     /// Finishes the run and produces the report of record. Panics if any
     /// request is still queued or in flight — call
     /// [`shutdown`](Self::shutdown) first unless the run drained.
-    pub fn into_report(self) -> ServeReport {
+    pub fn into_report(self) -> Report<T> {
         assert!(
             self.live == 0 && self.queue.is_empty(),
             "into_report with work outstanding (live={}, queued={})",
@@ -753,7 +768,7 @@ impl<D: BatchDecoder> ServeEngine<D> {
         );
         let mut responses = self.responses;
         responses.sort_by_key(|r| r.id);
-        ServeReport {
+        Report {
             responses,
             admission_log: self.log,
             arrivals: self.arrivals,
@@ -768,16 +783,16 @@ impl<D: BatchDecoder> ServeEngine<D> {
 
 /// Everything a finished run produced, in deterministic order.
 #[derive(Debug, Clone)]
-pub struct ServeReport {
+pub struct Report<T> {
     /// One response per arrival, sorted by request id.
-    pub responses: Vec<ServeResponse>,
+    pub responses: Vec<Response<T>>,
     /// Admissions in admission order.
-    pub admission_log: Vec<AdmissionRecord>,
+    pub admission_log: Vec<AdmissionRecord<T>>,
     pub arrivals: u64,
     pub completed: u64,
     /// Rejection label → count.
     pub rejected: BTreeMap<&'static str, u64>,
-    pub per_task: BTreeMap<Task, TaskTally>,
+    pub per_task: BTreeMap<T, TaskTally>,
     /// Virtual time when the run finished.
     pub end_ns: u64,
     /// Prefix-cache tallies, when the decoder carries a cache.
@@ -788,7 +803,7 @@ pub struct ServeReport {
     pub cache: Option<CacheStats>,
 }
 
-impl ServeReport {
+impl<T: RequestTag> Report<T> {
     /// Total rejections across all kinds.
     pub fn rejections(&self) -> u64 {
         self.rejected.values().sum()
@@ -801,14 +816,14 @@ impl ServeReport {
             && self.responses.len() as u64 == self.arrivals
     }
 
-    /// Sorted completion latencies, optionally restricted to one task.
-    pub fn latencies_ns(&self, task: Option<Task>) -> Vec<u64> {
+    /// Sorted completion latencies, optionally restricted to one tag.
+    pub fn latencies_ns(&self, task: Option<T>) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .responses
             .iter()
             .filter(|r| r.outcome == Outcome::Completed)
             .filter(|r| task.is_none_or(|t| r.task == t))
-            .map(ServeResponse::latency_ns)
+            .map(Response::latency_ns)
             .collect();
         out.sort_unstable();
         out
@@ -823,10 +838,10 @@ impl ServeReport {
         sorted[rank - 1]
     }
 
-    /// Completion-share fairness across the four tasks: the minimum over
-    /// tasks of `completed / arrivals`, divided by the maximum — 1.0
-    /// when every task's completion rate is equal, 0.0 when some task
-    /// starves entirely. Tasks with no arrivals are excluded.
+    /// Completion-share fairness across tags (the four tasks when
+    /// serving): the minimum over tags of `completed / arrivals`, divided
+    /// by the maximum — 1.0 when every tag's completion rate is equal, 0.0
+    /// when some tag starves entirely. Tags with no arrivals are excluded.
     pub fn fairness(&self) -> f64 {
         let rates: Vec<f64> = self
             .per_task
@@ -876,82 +891,14 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::ScriptedDecoder;
-
-    const EOS: u32 = 1;
-
-    fn engine(slots: usize, queue_cap: usize) -> ServeEngine<ScriptedDecoder> {
-        // Script: request emits `src[0]` tokens (vocab id 5), then EOS.
-        let dec = ScriptedDecoder::new(slots, 8, EOS, |src| {
-            vec![5; src.first().copied().unwrap_or(0) as usize]
-        });
-        ServeEngine::new(dec, ServeConfig::new(queue_cap, 16, EOS))
-    }
-
-    fn req(id: u64, len: u32) -> ServeRequest {
-        ServeRequest::new(id, Task::TextToVis, vec![len])
-    }
-
-    #[test]
-    fn single_request_completes_with_scripted_tokens() {
-        let mut e = engine(2, 4);
-        e.submit(req(0, 3));
-        e.run_trace(&[]).unwrap();
-        let report = e.into_report();
-        assert!(report.accounted());
-        assert_eq!(report.responses[0].outcome, Outcome::Completed);
-        assert_eq!(report.responses[0].tokens, vec![5, 5, 5]);
-        assert_eq!(report.admission_log.len(), 1);
-    }
-
-    #[test]
-    fn queue_overflow_rejects_with_r001() {
-        let mut e = engine(1, 1);
-        // Slot takes one, queue takes one, third bounces.
-        e.submit(req(0, 5));
-        e.tick().unwrap(); // admits request 0 into the slot
-        e.submit(req(1, 5));
-        e.submit(req(2, 5));
-        let resp: Vec<_> = e.drain_responses();
-        let bounced = resp.iter().find(|r| r.id == 2).expect("response for #2");
-        assert_eq!(bounced.outcome, Outcome::Rejected(Rejection::QueueFull));
-        e.run_trace(&[]).unwrap();
-        let report = e.into_report();
-        assert!(report.accounted());
-        assert_eq!(report.rejected["queue-full"], 1);
-        assert_eq!(report.completed, 2);
-    }
-
-    #[test]
-    fn max_out_caps_runaway_decodes() {
-        let mut e = engine(1, 2);
-        e.submit(req(0, 100)); // wants 100 tokens, cap is 16
-        e.run_trace(&[]).unwrap();
-        let report = e.into_report();
-        assert_eq!(report.responses[0].tokens.len(), 16);
-        assert_eq!(report.responses[0].outcome, Outcome::Completed);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_across_runs() {
-        let trace: Vec<(u64, ServeRequest)> = (0..6)
-            .map(|i| (i * 500_000, req(i, (i % 3) as u32 + 1)))
-            .collect();
-        let run = || {
-            let mut e = engine(2, 3);
-            e.run_trace(&trace).unwrap();
-            e.into_report().fingerprint()
-        };
-        assert_eq!(run(), run());
-    }
 
     #[test]
     fn percentiles_use_nearest_rank() {
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(ServeReport::percentile_ns(&sorted, 50), 50);
-        assert_eq!(ServeReport::percentile_ns(&sorted, 99), 99);
-        assert_eq!(ServeReport::percentile_ns(&sorted, 100), 100);
-        assert_eq!(ServeReport::percentile_ns(&[7], 99), 7);
-        assert_eq!(ServeReport::percentile_ns(&[], 50), 0);
+        assert_eq!(Report::<()>::percentile_ns(&sorted, 50), 50);
+        assert_eq!(Report::<()>::percentile_ns(&sorted, 99), 99);
+        assert_eq!(Report::<()>::percentile_ns(&sorted, 100), 100);
+        assert_eq!(Report::<()>::percentile_ns(&[7], 99), 7);
+        assert_eq!(Report::<()>::percentile_ns(&[], 50), 0);
     }
 }

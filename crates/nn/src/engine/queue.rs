@@ -3,7 +3,7 @@
 //! Backpressure is the queue's whole job — an unbounded queue under a
 //! sustained overload turns every latency percentile into the queueing
 //! delay of the backlog. Arrivals beyond `capacity` are refused at the
-//! front door with [`Rejection::QueueFull`] so the client learns
+//! front door with [`Rejection::QueueFull`](super::Rejection::QueueFull) so the client learns
 //! immediately instead of timing out later.
 //!
 //! Ordering is a determinism contract: requests leave in ascending
@@ -14,39 +14,35 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::request::{Priority, ServeRequest};
+use super::request::{Priority, Request};
 
 /// A queued request plus its arrival bookkeeping.
 #[derive(Debug, Clone)]
-pub struct Queued {
+pub struct Queued<T> {
     /// Engine-wide arrival sequence number (FIFO key within priority).
     pub seq: u64,
     /// Virtual arrival time.
     pub arrival_ns: u64,
-    pub req: ServeRequest,
+    pub req: Request<T>,
 }
 
 /// Bounded priority queue with FIFO order inside each priority class.
-#[derive(Debug, Default)]
-pub struct AdmissionQueue {
+#[derive(Debug)]
+pub struct AdmissionQueue<T> {
     capacity: usize,
     len: usize,
-    classes: BTreeMap<Priority, VecDeque<Queued>>,
+    classes: BTreeMap<Priority, VecDeque<Queued<T>>>,
 }
 
-impl AdmissionQueue {
+impl<T> AdmissionQueue<T> {
     /// Creates a queue admitting at most `capacity` waiting requests.
-    pub fn new(capacity: usize) -> AdmissionQueue {
+    pub fn new(capacity: usize) -> AdmissionQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         AdmissionQueue {
             capacity,
             len: 0,
             classes: BTreeMap::new(),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub fn len(&self) -> usize {
@@ -57,13 +53,9 @@ impl AdmissionQueue {
         self.len == 0
     }
 
-    pub fn is_full(&self) -> bool {
-        self.len >= self.capacity
-    }
-
     /// Enqueues a request, or returns it when the queue is full.
-    pub fn push(&mut self, item: Queued) -> Result<(), Queued> {
-        if self.is_full() {
+    pub fn push(&mut self, item: Queued<T>) -> Result<(), Queued<T>> {
+        if self.len >= self.capacity {
             return Err(item);
         }
         self.classes
@@ -75,7 +67,7 @@ impl AdmissionQueue {
     }
 
     /// Removes and returns the next request in `(priority, seq)` order.
-    pub fn pop(&mut self) -> Option<Queued> {
+    pub fn pop(&mut self) -> Option<Queued<T>> {
         let (&prio, _) = self.classes.iter().find(|(_, q)| !q.is_empty())?;
         let q = self.classes.get_mut(&prio)?;
         let item = q.pop_front();
@@ -91,7 +83,7 @@ impl AdmissionQueue {
     /// Removes every queued request whose deadline is at or before `now`,
     /// in `(priority, seq)` order. Runs every scheduler tick, so the
     /// nothing-expired case (by far the common one) allocates nothing.
-    pub fn expire(&mut self, now_ns: u64) -> Vec<Queued> {
+    pub fn expire(&mut self, now_ns: u64) -> Vec<Queued<T>> {
         let any_expired = self
             .classes
             .values()
@@ -119,38 +111,17 @@ impl AdmissionQueue {
         self.len -= out.len();
         out
     }
-
-    /// Drains everything still queued (shutdown path), in order.
-    pub fn drain_all(&mut self) -> Vec<Queued> {
-        let mut out = Vec::new();
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
-    }
-
-    /// The earliest deadline among queued requests, if any request has
-    /// one (drives virtual-clock jumps while slots are idle).
-    pub fn earliest_deadline(&self) -> Option<u64> {
-        self.classes
-            .values()
-            .flat_map(|q| q.iter())
-            .map(|i| i.req.deadline_ns)
-            .filter(|&d| d != crate::request::NO_DEADLINE)
-            .min()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datavist5::data::Task;
 
-    fn q(seq: u64, priority: u8, deadline: u64) -> Queued {
+    fn q(seq: u64, priority: u8, deadline: u64) -> Queued<()> {
         Queued {
             seq,
             arrival_ns: 0,
-            req: ServeRequest::new(seq, Task::TextToVis, vec![1])
+            req: Request::new(seq, (), vec![1])
                 .with_priority(priority)
                 .with_deadline(deadline),
         }
@@ -190,15 +161,5 @@ mod tests {
         assert_eq!(expired, vec![0, 2]);
         assert_eq!(aq.len(), 1);
         assert_eq!(aq.pop().unwrap().seq, 1);
-    }
-
-    #[test]
-    fn earliest_deadline_ignores_unbounded_requests() {
-        let mut aq = AdmissionQueue::new(8);
-        aq.push(q(0, 0, u64::MAX)).unwrap();
-        assert_eq!(aq.earliest_deadline(), None);
-        aq.push(q(1, 3, 700)).unwrap();
-        aq.push(q(2, 0, 900)).unwrap();
-        assert_eq!(aq.earliest_deadline(), Some(700));
     }
 }

@@ -1,21 +1,46 @@
-//! Request and response types for the serving engine.
+//! Request and response types for the engine.
 //!
-//! A [`ServeRequest`] is what the scheduler works with: token ids plus
-//! scheduling metadata (priority, deadline). The text-level constructor
-//! [`ServeRequest::from_task`] renders a [`TaskRequest`] through the
-//! paper's unified encoding — running per-request schema filtration —
-//! and tokenizes it, so clients submit raw questions/queries/tables and
-//! the serving path owns the whole text → tokens pipeline.
+//! A [`Request`] is what the scheduler works with: token ids plus
+//! scheduling metadata (priority, deadline) and a [`RequestTag`]. The
+//! text-level constructor [`Request::from_task`] renders and tokenizes a
+//! request through an [`EncodeRequest`] impl, so clients submit raw
+//! questions/queries/tables and the serving path owns the whole text →
+//! tokens pipeline.
 //!
-//! Every admitted or rejected request produces exactly one
-//! [`ServeResponse`]; nothing is silently dropped. Rejections are typed
-//! ([`Rejection`]) and each variant carries a registered diagnostic code
-//! (`R001`–`R005`, see `analysis::registry` and the DESIGN.md lint-code
-//! table), so rejection tallies are auditable the same way lint tallies
-//! are.
+//! Every admitted or rejected request produces exactly one [`Response`];
+//! nothing is silently dropped. Rejections are typed ([`Rejection`]) and
+//! each variant carries a registered diagnostic code (`R001`–`R005`, see
+//! `analysis::registry` and the DESIGN.md lint-code table), so rejection
+//! tallies are auditable the same way lint tallies are.
 
-use datavist5::data::{Task, TaskRequest};
-use tokenizer::WordTokenizer;
+use std::fmt::Debug;
+
+/// What a request is tagged with: the task it targets when serving
+/// (`core`'s `Task`), `()` in eval. The engine keys its per-tag tallies
+/// by it and prints its `label`.
+pub trait RequestTag: Copy + Ord + Debug {
+    /// A stable label (admission log, fingerprint, obs counter names).
+    fn label(&self) -> &'static str;
+}
+
+/// Eval's batched decoders tag nothing.
+impl RequestTag for () {
+    fn label(&self) -> &'static str {
+        "untagged"
+    }
+}
+
+/// A text-level request that renders and tokenizes itself: the input of
+/// [`Request::from_task`]. `core` implements it for its `TaskRequest`.
+pub trait EncodeRequest {
+    type Tag: RequestTag;
+    type Tokenizer;
+    /// The tag the request is served under.
+    fn tag(&self) -> Self::Tag;
+    /// The encoder input: the rendered text, tokenized with a trailing
+    /// EOS.
+    fn encode(&self, tok: &Self::Tokenizer) -> Vec<u32>;
+}
 
 /// Scheduling priority: lower values are served first; within one
 /// priority the queue is strictly FIFO by arrival sequence.
@@ -26,13 +51,13 @@ pub const NO_DEADLINE: u64 = u64::MAX;
 
 /// One request as the scheduler sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeRequest {
+pub struct Request<T> {
     /// Caller-assigned identifier, echoed in the response. Must be unique
     /// within one engine run.
     pub id: u64,
-    /// Which of the four tasks the request targets (used for per-task
+    /// The request's tag: the task it targets when serving (per-task
     /// fairness accounting; the engine itself is task-agnostic).
-    pub task: Task,
+    pub task: T,
     /// Encoder input token ids. An empty source is normalized to a lone
     /// EOS marker at admission (mirroring `encode_with_eos`, which never
     /// produces an empty sequence).
@@ -45,10 +70,10 @@ pub struct ServeRequest {
     pub deadline_ns: u64,
 }
 
-impl ServeRequest {
+impl<T> Request<T> {
     /// A plain request with default priority and no deadline.
-    pub fn new(id: u64, task: Task, src: Vec<u32>) -> ServeRequest {
-        ServeRequest {
+    pub fn new(id: u64, task: T, src: Vec<u32>) -> Request<T> {
+        Request {
             id,
             task,
             src,
@@ -57,23 +82,26 @@ impl ServeRequest {
         }
     }
 
-    /// Builds a request from a text-level [`TaskRequest`]: renders the
-    /// unified input encoding (running schema filtration on this
-    /// request's own question/query) and tokenizes it with a trailing
-    /// EOS.
-    pub fn from_task(id: u64, req: &TaskRequest, tok: &WordTokenizer) -> ServeRequest {
-        let text = req.input_text();
-        ServeRequest::new(id, req.task(), tok.encode_with_eos(&text))
+    /// Builds a request from a text-level request: renders its input
+    /// encoding (for `core`'s `TaskRequest`, running schema filtration on
+    /// the request's own question/query) and tokenizes it with a
+    /// trailing EOS.
+    pub fn from_task<S: EncodeRequest<Tag = T>>(
+        id: u64,
+        req: &S,
+        tok: &S::Tokenizer,
+    ) -> Request<T> {
+        Request::new(id, req.tag(), req.encode(tok))
     }
 
     /// Sets the priority (builder style).
-    pub fn with_priority(mut self, priority: Priority) -> ServeRequest {
+    pub fn with_priority(mut self, priority: Priority) -> Request<T> {
         self.priority = priority;
         self
     }
 
     /// Sets the absolute deadline (builder style).
-    pub fn with_deadline(mut self, deadline_ns: u64) -> ServeRequest {
+    pub fn with_deadline(mut self, deadline_ns: u64) -> Request<T> {
         self.deadline_ns = deadline_ns;
         self
     }
@@ -94,8 +122,9 @@ pub enum Rejection {
     /// The engine shut down while the request was queued or in flight.
     Shutdown,
     /// A scheduler/batcher invariant violation poisoned the engine
-    /// (`serve::EngineError`); the request was drained with this typed
-    /// response — partial tokens kept — instead of dying in a panic.
+    /// ([`EngineError`](super::EngineError)); the request was drained
+    /// with this typed response — partial tokens kept — instead of dying
+    /// in a panic.
     Internal,
 }
 
@@ -135,9 +164,9 @@ pub enum Outcome {
 /// The engine's answer for one request — completed or rejected, never
 /// silent.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeResponse {
+pub struct Response<T> {
     pub id: u64,
-    pub task: Task,
+    pub task: T,
     pub outcome: Outcome,
     /// Tokens emitted before the terminal event (the full output for
     /// completions, a partial prefix for mid-decode rejections).
@@ -149,7 +178,7 @@ pub struct ServeResponse {
     pub finished_ns: u64,
 }
 
-impl ServeResponse {
+impl<T> Response<T> {
     /// Request latency (arrival to terminal event).
     pub fn latency_ns(&self) -> u64 {
         self.finished_ns.saturating_sub(self.arrival_ns)
@@ -178,39 +207,11 @@ mod tests {
 
     #[test]
     fn builder_setters_apply() {
-        let r = ServeRequest::new(7, Task::FeVisQa, vec![1, 2, 3])
+        let r = Request::new(7, (), vec![1, 2, 3])
             .with_priority(2)
             .with_deadline(500);
         assert_eq!(r.priority, 2);
         assert_eq!(r.deadline_ns, 500);
         assert_eq!(r.id, 7);
-    }
-
-    #[test]
-    fn from_task_runs_filtration_and_appends_eos() {
-        use vql::schema::{DbSchema, TableSchema};
-        let schema = DbSchema::new(
-            "g",
-            vec![
-                TableSchema::new("artist", vec!["country".into()]),
-                TableSchema::new("exhibit", vec!["theme".into()]),
-            ],
-        );
-        let task = TaskRequest::TextToVis {
-            question: "bar chart of artist country".into(),
-            schema,
-        };
-        let tok = WordTokenizer::fit([task.input_text().as_str()], 1);
-        let req = ServeRequest::from_task(3, &task, &tok);
-        assert_eq!(req.task, Task::TextToVis);
-        assert_eq!(req.src.last(), Some(&tokenizer::special::EOS));
-        // Filtration ran: the unreferenced table is absent, so the
-        // encoded input is shorter than the unfiltered text would be.
-        let text = task.input_text();
-        assert!(!text.contains("theme"));
-        // The request's admitted tokens hash to the task's cache key:
-        // core-side key computation and serve-side admission agree on
-        // what "the standardized input" is.
-        assert_eq!(nn::prefix_hash(&req.src), task.cache_key(&tok));
     }
 }

@@ -20,6 +20,10 @@
 //!   decoder: concurrent decodes packed into shared `[N, d]` matmuls,
 //!   bit-identical to the tape forward, with continuous slot-based
 //!   batching and slot forks for beam search;
+//! * [`engine`] — the one continuous batcher's scheduler: bounded
+//!   admission queue, deadlines with typed rejections, a per-request pick
+//!   policy, and a deterministic report; `serve` serves on it and eval's
+//!   batched decoders run on it;
 //! * [`prefix_cache`] — the cross-request encoder-output cache: decoder
 //!   cross-attention K/V blocks keyed by a content hash of the
 //!   standardized input, byte-bounded with deterministic LRU eviction
@@ -32,6 +36,7 @@
 pub mod batch;
 pub mod ckpt;
 pub mod decode;
+pub mod engine;
 pub mod layers;
 pub mod lora;
 pub mod lstm;

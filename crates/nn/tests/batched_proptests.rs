@@ -1,20 +1,25 @@
 //! Property tests of the batched inference engine.
 //!
-//! Two contracts: (1) batched grammar-constrained decoding with an
+//! Three contracts: (1) batched grammar-constrained decoding with an
 //! arbitrary (randomly generated, prefix-dependent) mask function agrees
 //! with constrained decoding on the tape (`common::tape_constrained`) on
-//! every request; (2) slot retirement never leaks one request's state
-//! into another — retiring NaN-poisons the slot's caches, so if any later
-//! packed step read them the survivors' logits would go NaN and their
-//! token streams would diverge from the tape reference. Both are checked
-//! across random batch shapes, ragged sources, and retirement schedules.
+//! every request; (2) one engine picking per request — greedy for some,
+//! grammar-constrained for others, in the same packed steps — gives each
+//! request the tokens of its own policy on the tape; (3) slot retirement
+//! never leaks one request's state into another — retiring NaN-poisons
+//! the slot's caches, so if any later packed step read them the
+//! survivors' logits would go NaN and their token streams would diverge
+//! from the tape reference. All are checked across random batch shapes,
+//! ragged sources, and retirement schedules.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::{tape_constrained, tape_greedy};
-use nn::decode::batched_constrained_decode;
+use nn::batch::BatchedDecodeState;
+use nn::decode::{argmax, batched_constrained_decode, masked_argmax};
+use nn::engine::{Engine, EngineConfig, Outcome, Request};
 use nn::param::ParamSet;
 use nn::t5::{Positional, T5Config, T5Model};
 use tensor::XorShift;
@@ -80,6 +85,17 @@ fn grammar_mask(seed: u64, req: usize, prefix: &[u32]) -> Vec<u32> {
     mask
 }
 
+/// The constrained policy of `mixed_policies_in_one_engine_match_sequential`:
+/// the random grammar, cut to an empty set once request `req` has emitted
+/// `2 + req % 4` tokens, so constrained requests end on an empty mask at
+/// staggered steps.
+fn cut_mask(seed: u64, req: usize, prefix: &[u32]) -> Vec<u32> {
+    if prefix.len() >= 2 + req % 4 {
+        return Vec::new();
+    }
+    grammar_mask(seed, req, prefix)
+}
+
 proptest! {
     /// Batched constrained decoding with a random grammar mask agrees
     /// with one-request-at-a-time constrained decoding on the tape.
@@ -105,6 +121,62 @@ proptest! {
             &m, &ps, &srcs, EOS, MAX_LEN, capacity,
             |req, prefix| grammar_mask(grammar_seed, req, prefix),
         );
+        prop_assert_eq!(got, want);
+    }
+
+    /// One engine with fewer slots than requests serves greedy and
+    /// grammar-constrained requests together: the pick chooses the policy
+    /// by request id (even ids greedy, odd ids under `cut_mask`), so
+    /// packed steps mix both. Each request's tokens equal the tape decode
+    /// of that request alone under its own policy.
+    #[test]
+    fn mixed_policies_in_one_engine_match_sequential(
+        model_seed in 0u64..200,
+        grammar_seed in 0u64..1000,
+        batch in 2usize..=8,
+    ) {
+        let (m, ps) = random_model(model_seed);
+        let srcs = random_srcs(model_seed ^ grammar_seed, batch);
+        let want: Vec<Vec<u32>> = srcs
+            .iter()
+            .enumerate()
+            .map(|(req, src)| {
+                if req.is_multiple_of(2) {
+                    tape_greedy(&m, &ps, src, EOS, MAX_LEN)
+                } else {
+                    tape_constrained(&m, &ps, src, EOS, MAX_LEN, |prefix| {
+                        cut_mask(grammar_seed, req, prefix)
+                    })
+                }
+            })
+            .collect();
+        let capacity = 1 + grammar_seed as usize % (batch - 1);
+        let cfg = EngineConfig {
+            queue_cap: batch,
+            max_out: MAX_LEN,
+            eos: EOS,
+            step_cost_ns: 0,
+            admit_cost_ns: 0,
+        };
+        let mut engine = Engine::new(BatchedDecodeState::new(&m, &ps, capacity), cfg);
+        for (id, src) in srcs.iter().enumerate() {
+            engine.submit(Request::new(id as u64, (), src.clone()));
+        }
+        while !engine.is_idle() {
+            engine
+                .tick_with(|req, logits, prefix| {
+                    let req = req.id as usize;
+                    if req.is_multiple_of(2) {
+                        return Some(argmax(logits));
+                    }
+                    let mask = cut_mask(grammar_seed, req, prefix);
+                    (!mask.is_empty()).then(|| masked_argmax(logits, &mask))
+                })
+                .unwrap();
+        }
+        let report = engine.into_report();
+        prop_assert!(report.responses.iter().all(|r| r.outcome == Outcome::Completed));
+        let got: Vec<Vec<u32>> = report.responses.into_iter().map(|r| r.tokens).collect();
         prop_assert_eq!(got, want);
     }
 

@@ -7,6 +7,11 @@
 //! identical per-step KV-byte trace. Shared (cached) cross-attention
 //! tensors account exactly like owned ones, so even the byte
 //! bookkeeping cannot tell the variants apart.
+//!
+//! The thread counts compare serial runs: at this model's shapes no
+//! product reaches 2 × `tensor::par::PAR_MIN_ELEMS` (4.19M MACs), so no
+//! kernel forks. Multi-core bits are pinned by
+//! `tensor::kernels::tests::parallel_dispatch_matches_serial_bitwise`.
 
 use std::collections::{BTreeMap, VecDeque};
 

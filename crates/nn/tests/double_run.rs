@@ -139,18 +139,17 @@ fn untrained_decode_is_bit_identical() {
     assert_eq!(run(), run());
 }
 
-/// The multi-core witness behind the parallel-safety audit: the whole
-/// pipeline — init, training (weights + Adam moments + every loss), and
-/// batched decode — must produce *bitwise*-identical results at 1, 2,
-/// and 4 worker threads. The fork-join kernels split only the output
-/// axis under certified schedules, so every reduction chain keeps its
-/// sequential order regardless of worker count; this test is the
-/// dynamic proof of that static argument.
+/// The whole pipeline — init, training (weights + Adam moments + every
+/// loss), and batched decode — run at 1, 2, and 4 worker threads must
+/// give *bitwise*-identical results. At these shapes no product reaches
+/// 2 × `tensor::par::PAR_MIN_ELEMS` (4.19M MACs), so no kernel forks and
+/// the sweep compares serial runs. Multi-core bits are pinned at the
+/// kernel level by
+/// `tensor::kernels::tests::parallel_dispatch_matches_serial_bitwise`.
 ///
 /// `tensor::par::set_threads` is process-global, which is safe to flip
-/// here precisely *because* the kernels are thread-count-invariant:
-/// other tests running concurrently see different worker counts but
-/// identical bits.
+/// here *because* the kernels are thread-count-invariant: other tests
+/// running concurrently see different worker counts but identical bits.
 #[test]
 fn thread_sweep_is_bit_identical() {
     let run_at = |threads: usize| {

@@ -19,8 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use crate::engine::{BatchDecoder, ServeEngine};
-use crate::request::{ServeRequest, ServeResponse};
+use crate::{BatchDecoder, ServeEngine, ServeRequest, ServeResponse};
 
 /// One request in flight from a client, with its reply route.
 struct ClientMsg {
@@ -28,10 +27,13 @@ struct ClientMsg {
     reply: mpsc::Sender<ServeResponse>,
 }
 
-/// Runs `engine` against concurrent closed-loop clients: client `i`
-/// submits every request in `clients[i]` (ids must be unique across all
-/// clients) and waits for one response per request. Returns each
-/// client's responses in delivery order.
+/// Runs `engine` against concurrent clients: client `i` sends every
+/// request in `clients[i]` (ids must be unique across all clients)
+/// before it waits for any response, then waits for one response per
+/// request. So the clients are not closed-loop: every client's whole
+/// list can reach the queue at once, and whichever client's sends land
+/// last meets a full queue first. `serve_bench`'s real phase measures
+/// that burst. Returns each client's responses in delivery order.
 ///
 /// `now_ns` is polled once per scheduler iteration to advance the
 /// engine's virtual clock; for wall-clock latency numbers pass a real
@@ -127,9 +129,7 @@ pub fn serve_concurrent<D: BatchDecoder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ServeConfig;
-    use crate::request::Outcome;
-    use crate::testing::ScriptedDecoder;
+    use crate::{Outcome, ScriptedDecoder, ServeConfig};
     use datavist5::data::Task;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -11,7 +11,7 @@
 use nn::batch::SlotEvent;
 use nn::prefix_cache::{CacheStats, PrefixCache, PrefixKv};
 
-use crate::engine::BatchDecoder;
+use crate::BatchDecoder;
 
 /// Per-slot decode state inside the scripted decoder.
 struct ScriptSlot {

@@ -10,9 +10,10 @@
 //! response's outcome, tokens, and timestamps) as strings, i.e. bitwise.
 //!
 //! The thread sweep re-runs the whole thing at 1, 2, and 4 tensor
-//! worker threads: the fork-join kernels are certified
-//! thread-count-invariant, so the serving fingerprint must not move
-//! either.
+//! worker threads and compares serial runs only: at these shapes no
+//! product reaches 2 × `tensor::par::PAR_MIN_ELEMS` (4.19M MACs), so no
+//! kernel forks at any thread count. The test that pins multi-core bits
+//! is `tensor::kernels::tests::parallel_dispatch_matches_serial_bitwise`.
 
 use nn::batch::BatchedDecodeState;
 use nn::param::ParamSet;
@@ -95,9 +96,13 @@ fn different_seeds_actually_change_the_fingerprint() {
     assert_ne!(run_once(0xbead, 14), run_once(0xfeed, 14));
 }
 
+/// Re-runs the trace at 1, 2 and 4 worker threads. No product here
+/// reaches 2 × `PAR_MIN_ELEMS`, so every run is serial and this compares
+/// serial runs; multi-core bits are pinned by
+/// `tensor::kernels::tests::parallel_dispatch_matches_serial_bitwise`.
 /// `tensor::par::set_threads` is process-global, which is safe to flip
-/// here precisely because the kernels are thread-count-invariant (see
-/// the same pattern in `nn/tests/double_run.rs`).
+/// because the kernels are thread-count-invariant (the same pattern as
+/// `nn/tests/double_run.rs`).
 #[test]
 fn thread_sweep_is_bit_identical() {
     let run_at = |threads: usize| {
